@@ -19,6 +19,7 @@ from .distributions import (
     BernoulliParams,
     Dist,
     UrnParams,
+    cdf,
     exact_pmf,
     maxnb_pmf,
     maxnh_pmf,
@@ -87,12 +88,10 @@ def cmd_pmf(args: argparse.Namespace) -> int:
     dist = Dist(args.dist)
     table = pmf_table(dist, _build_params(dist, args))
     if args.cdf:
-        rows = []
-        running = 0.0
-        for y, p in zip(table.ys, table.probs):
-            running += p
-            rows.append((y, p, running))
-        _emit(("y", "pmf", "cdf"), rows)
+        _emit(
+            ("y", "pmf", "cdf"),
+            ((y, p, cdf(table, y)) for y, p in zip(table.ys, table.probs)),
+        )
     else:
         _emit(("y", "pmf"), zip(table.ys, table.probs))
     return 0

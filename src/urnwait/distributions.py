@@ -22,18 +22,25 @@ exist as its relatives and limiting partners.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice, repeat
+from operator import mul, truediv
 
 from . import kernel
 from .errors import DomainError, ParameterError
 
-# Infinite supports are truncated where the remaining tail mass drops below
-# this bound; the truncation point is recorded on the table.
+# Infinite supports are truncated where a bound on the remaining tail mass
+# drops below this; the truncation point is recorded on the table.
 TAIL_EPS = 1e-12
+
+# nb and maxnb tables that would need more rows than this raise DomainError.
+_MAX_ROWS = 10**6
 
 
 class Dist(str, enum.Enum):
@@ -92,7 +99,8 @@ class PmfTable:
 
     ys always starts at 0 and is contiguous. truncation is None for finite
     supports; for the infinite-support distributions it records the largest
-    tabulated y, beyond which the untabulated tail mass is below TAIL_EPS.
+    tabulated y: the first row past the mode at which a geometric bound on
+    the untabulated tail mass is below TAIL_EPS (see pmf_table).
     """
 
     dist: Dist
@@ -100,6 +108,22 @@ class PmfTable:
     ys: list[int]
     probs: list[float]
     truncation: int | None = None
+
+    @functools.cached_property
+    def _cum(self) -> list[float]:
+        """Correctly rounded prefix sums of probs, built on first use.
+
+        Every float is a whole multiple of 2**-1074, so the running sum is an
+        exact integer in that unit and only the final division rounds: entry
+        y equals math.fsum(probs[:y+1]) bit for bit.
+        """
+        unit = 1 << 1074
+        acc, out = 0, []
+        for p in self.probs:
+            n, d = p.as_integer_ratio()
+            acc += n << (1075 - d.bit_length())
+            out.append(acc / unit)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +345,8 @@ def pmf(dist: Dist, params: UrnParams | BernoulliParams, y: int) -> float:
 def support(dist: Dist, params: UrnParams | BernoulliParams) -> range:
     """Closed-form support, or the truncated range for infinite supports.
 
-    For nb and maxnb the upper end T is the smallest value whose remaining
-    tail mass is below TAIL_EPS.
+    For nb and maxnb this is the range of pmf_table's rows, so that the
+    truncation rule has one definition.
     """
     _check_params(dist, params)
     if dist is Dist.NH:
@@ -332,42 +356,272 @@ def support(dist: Dist, params: UrnParams | BernoulliParams) -> range:
         return range(0, max(m - c, N - m - c) + 1)
     if dist in (Dist.MINNH, Dist.MINNB):
         return range(0, params.c)
-    f = _PMF[dist]
-    cum = 0.0
-    y = 0
-    while True:
-        cum += f(params, y)
-        if 1.0 - cum < TAIL_EPS:
-            return range(0, y + 1)
-        y += 1
+    return range(0, len(pmf_table(dist, params).ys))
+
+
+# Every law is a sum of one or two terms, and each term's ratio between
+# neighbouring rows is rational in y and never grows along the direction in
+# which the table is built, so each term is unimodal. A running term is
+# carried as t * 2**e, with frexp keeping t inside [_T_LO, _T_HI]: it can
+# neither underflow nor overflow, and the rescaling itself is exact.
+_T_LO, _T_HI = 2.0**-64, 2.0**64
+_LN2 = math.log(2.0)
+
+
+def _walk(t: float, e: int, ratios):
+    """Yield (v, r) row by row: the term's value v = t * 2**e and the ratio r
+    that carries it to the next row. The value after the last ratio comes
+    with r = 0.0."""
+    ldexp, frexp = math.ldexp, math.frexp
+    for r in ratios:
+        yield ldexp(t, e), r
+        t *= r
+        if not _T_LO <= t <= _T_HI:
+            t, de = frexp(t)
+            e += de
+    yield ldexp(t, e), 0.0
+
+
+def _add_term(w: list[float], rows, t: float, e: int, ratios) -> None:
+    """Add the term t * 2**e at rows[0], walked along ratios over rows, to w.
+
+    Stops once the term has underflowed to 0.0 ahead of a falling ratio: no
+    later ratio is larger, so every later row would add 0.0.
+    """
+    for y, (v, r) in zip(rows, _walk(t, e, ratios)):
+        if v == 0.0 and r < 1.0:
+            return
+        w[y] += v
+
+
+def _urn_ratios(k: int, a: int, j: int, n: int, count: int):
+    """(k+i)(a-i) / ((j+i)(n-i)) for i = 0..count-1, each correctly rounded."""
+    return map(
+        truediv,
+        map(mul, range(k, k + count), range(a, a - count, -1)),
+        map(mul, range(j, j + count), range(n, n - count, -1)),
+    )
+
+
+def _log_comb(n: int, k: int) -> float:
+    # k and n-k enter symmetrically, so a table's scale, and with it every
+    # bit of a maxnh or minnh table, is the same under m <-> N-m.
+    return math.lgamma(n + 1) - (math.lgamma(k + 1) + math.lgamma(n - k + 1))
+
+
+def _pow(x: float, n: int) -> tuple[float, int]:
+    """x**n as (t, e) with x**n = t * 2**e, for 0 < x < 1 and any n >= 0."""
+    t, e = math.frexp(x)
+    out, exp = 1.0, e * n
+    while n > 0:
+        k = min(n, 1000)  # t**k >= 2**-1000 stays a normal float
+        out, de = math.frexp(out * t**k)
+        exp += de
+        n -= k
+    return out, exp
+
+
+def _exponent(log_anchor: float) -> int:
+    """Starting exponent for a term whose anchor value is exp(log_anchor).
+
+    Rows then come out near 2**64 times the pmf: rows whose pmf is
+    subnormal are still normal floats, so normalizing rounds them only
+    once, and a row that underflows to 0.0 has a pmf below 2**-1138.
+    """
+    return round(log_anchor / _LN2) + 64
+
+
+def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> list[float]:
+    """Rows proportional to the pmf of nh, maxnh, minnh or minnb.
+
+    The anchor values come from lgamma, which only sets the scale: the
+    rows are normalized afterwards.
+    """
+    if dist is Dist.MINNB:
+        # Both terms equal C(2c-1, c-1) (pq)^c at y = c, one row past the
+        # support. Recur down from there: p(y)/p(y+1) = (y+1) / ((c+y) f),
+        # with f = q for the p^c q^y term and f = p for the other; p is
+        # taken as the exact rational pn/pd that the float holds.
+        c, p = params.c, params.p
+        pn, pd = p.as_integer_ratio()
+        w = [0.0] * (c + 1)
+        e = _exponent(_log_comb(2 * c - 1, c - 1) + c * math.log(p * (1.0 - p)))
+        for fn in (pd - pn, pn):
+            ratios = map(
+                truediv,
+                map(mul, range(c, 0, -1), repeat(pd)),
+                map(mul, range(2 * c - 1, c - 1, -1), repeat(fn)),
+            )
+            _add_term(w, range(c, -1, -1), 1.0, e, ratios)
+        w.pop()  # the anchor row y = c
+        return w
+    N, m, c = params.N, params.m, params.c
+    if dist is Dist.NH:
+        # p(y+1)/p(y) = (c+y)(N-m-y) / ((y+1)(N-c-y)), from p(0) = C(m,c)/C(N,c).
+        n = N - m + 1
+        w = [0.0] * n
+        e = _exponent(_log_comb(m, c) - _log_comb(N, c))
+        ratios = _urn_ratios(c, N - m, 1, N - c, n - 1)
+        _add_term(w, range(n), 1.0, e, ratios)
+        return w
+    if dist is Dist.MAXNH:
+        # Both terms equal p(0)/2 = C(N-2c, m-c) C(2c, c) / (2 C(N, m)) at
+        # y = 0; the term for color count a has ratio
+        # (2c+y)(a-c-y) / ((c+y+1)(N-2c-y)), which reaches 0 past y = a-c.
+        n = max(m, N - m) - c + 1
+        w = [0.0] * n
+        log_p0 = _log_comb(N - 2 * c, m - c) + _log_comb(2 * c, c) - _log_comb(N, m)
+        e = _exponent(log_p0 - _LN2)
+        for a in (m, N - m):
+            ratios = _urn_ratios(2 * c, a - c, c + 1, N - 2 * c, n - 1)
+            _add_term(w, range(n), 1.0, e, ratios)
+        return w
+    # minnh is the sum of two nh-like terms, C(m,c) C(N-m,y) and C(m,y)
+    # C(N-m,c) over C(N,c+y), times c/(c+y). Both equal
+    # C(m,c) C(N-m,c) / (2 C(N,2c)) at y = c, one row past the support; with
+    # b the other color's count, p(y)/p(y+1) = (y+1)(N-c-y) / ((c+y)(b-y)),
+    # written below with i = c-1-y.
+    w = [0.0] * (c + 1)
+    e = _exponent(_log_comb(m, c) + _log_comb(N - m, c) - _log_comb(N, 2 * c) - _LN2)
+    for b in (N - m, m):
+        ratios = _urn_ratios(N - 2 * c + 1, c, b - c + 1, 2 * c - 1, c)
+        _add_term(w, range(c, -1, -1), 1.0, e, ratios)
+    w.pop()  # the anchor row y = c
+    return w
+
+
+def _open_rows(dist: Dist, params: BernoulliParams) -> list[float]:
+    """nb or maxnb from an absolute anchor at y = 0 to the truncation row.
+
+    Each term's ratio is (k+y) f / (j+y), with f = p or 1-p taken as the
+    exact rational pn/pd that the float p holds. Rows end at the first y
+    where every term's ratio r is below 1 and sum_terms p(y) r/(1-r), a
+    bound on the mass past y, is below TAIL_EPS. Raises DomainError past
+    _MAX_ROWS rows.
+    """
+    c, p = params.c, params.p
+    pn, pd = p.as_integer_ratio()
+    k, j = (c, 1) if dist is Dist.NB else (2 * c, c + 1)
+    # The largest ratio peaks near y = (k g - j) / (1 - g): if that is past
+    # the cap, fail at once instead of filling rows first.
+    g = max(pn, pd - pn) / pd
+    if g < 1.0 and k * g - j < _MAX_ROWS * (1.0 - g):
+        if dist is Dist.NB:
+            anchors = [(*_pow(p, c), pd - pn)]
+        else:
+            # C(2c-1, c-1) p^c q^c; q = 1-p rounds, and the last factor
+            # restores (1-p)^c from q^c.
+            q = 1.0 - p
+            binom = math.comb(2 * c - 1, c - 1)
+            eb = binom.bit_length()
+            (tp, ep), (tq, eq) = _pow(p, c), _pow(q, c)
+            fix = math.exp(c * math.log1p(((1.0 - q) - p) / q))
+            t, e = math.frexp(binom / (1 << eb) * tp * tq * fix)
+            e += eb + ep + eq
+            anchors = [(t, e, pn), (t, e, pd - pn)]
+        walks = []
+        for t, e, fn in anchors:
+            ratios = map(
+                truediv,
+                map(mul, count(k), repeat(fn)),
+                map(mul, count(j), repeat(pd)),
+            )
+            walks.append(_walk(t, e, ratios))
+        rows: list[float] = []
+        for terms in islice(zip(*walks), _MAX_ROWS):
+            row = tail = 0.0
+            past_mode = True
+            for v, r in terms:
+                row += v
+                if r < 1.0:
+                    tail += v * r / (1.0 - r)
+                else:
+                    past_mode = False
+            rows.append(row)
+            if past_mode and tail < TAIL_EPS:
+                return rows
+    raise DomainError(
+        f"{dist.value} table at c={c}, p={p!r} needs more than {_MAX_ROWS} rows"
+    )
+
+
+def _maxnh_pmf_lgamma(params: UrnParams, y: int) -> float:
+    """The binomial form of _maxnh_pmf_binom, with lgamma in place of the
+    cumulative log-factorial table: the reference for pmf_table's maxnh
+    cross-check.
+
+    That table's ln(n!) drifts by up to a few sqrt(n) eps ln(n!) (3.4e-9 of
+    the pmf at N = 1e5), which both pointwise forms share but an accurate
+    table does not; lgamma's error does not grow with the length of a sum.
+    """
+    N, m, c = params.N, params.m, params.c
+    k = c + y
+    log_den = _log_comb(N, 2 * c + y)
+    s = 0.0
+    for a, b in ((m, N - m), (N - m, m)):
+        if k <= a:
+            s += math.exp(_log_comb(a, k) + _log_comb(b, c) - log_den)
+    return c / (2 * c + y) * s
+
+
+def _crosscheck_maxnh(params: UrnParams, probs: list[float]) -> None:
+    """Hold rows 0, the mode and the last row to _maxnh_pmf_lgamma, with
+    the slack of maxnh_pmf's own check."""
+    slack = 1e-12 + 4 * sys.float_info.epsilon * math.lgamma(params.N + 1)
+    for y in {0, probs.index(max(probs)), len(probs) - 1}:
+        alt = _maxnh_pmf_lgamma(params, y)
+        assert abs(probs[y] - alt) <= slack * max(probs[y], alt, 1e-300), (
+            params,
+            y,
+            probs[y],
+            alt,
+        )
 
 
 def pmf_table(dist: Dist, params: UrnParams | BernoulliParams) -> PmfTable:
-    """Tabulate the pmf over its full (or truncated) support."""
-    ys = list(support(dist, params))
-    f = _PMF[dist]
-    probs = [f(params, y) for y in ys]
-    trunc = ys[-1] if dist in (Dist.NB, Dist.MAXNB) else None
-    return PmfTable(dist, params, ys, probs, trunc)
+    """Tabulate the pmf over its full (or truncated) support.
+
+    Rows come from each law's exact ratio p(y+1)/p(y), in plain floats (see
+    README, "How tables are computed"). Finite supports are normalized by
+    the fsum of their rows. nb and maxnb start from p(0) itself and end at
+    the first row past the mode where the geometric tail bound
+    sum p(y) r/(1-r) is below TAIL_EPS; one that would need more than
+    10**6 rows raises DomainError.
+    """
+    _check_params(dist, params)
+    if dist in (Dist.NB, Dist.MAXNB):
+        probs = _open_rows(dist, params)
+        trunc = len(probs) - 1
+    else:
+        w = _finite_weights(dist, params)
+        total = math.fsum(w)
+        # Rows that underflowed share one 0.0 object, not a float each.
+        probs = [v / total if v else 0.0 for v in w]
+        trunc = None
+        if __debug__ and dist is Dist.MAXNH:
+            _crosscheck_maxnh(params, probs)
+    return PmfTable(dist, params, list(range(len(probs))), probs, trunc)
 
 
 def cdf(table: PmfTable, y: int) -> float:
-    """Prefix-sum cdf of a tabulated distribution."""
+    """Prefix-sum cdf of a tabulated distribution, correctly rounded.
+
+    The prefix sums are built once per table, so each call after the
+    first is O(1).
+    """
     if y < 0:
         return 0.0
-    return math.fsum(table.probs[: y + 1])
+    cum = table._cum
+    return cum[min(y, len(cum) - 1)]
 
 
 def quantile(table: PmfTable, u: float) -> int:
-    """Smallest y with cdf(y) >= u."""
+    """Smallest y with cdf(y) >= u; the last y if float shortfall keeps
+    every cdf below u."""
     if not 0.0 <= u <= 1.0:
         raise DomainError(f"quantile level must lie in [0, 1], got {u!r}")
-    cum = 0.0
-    for y, p in zip(table.ys, table.probs):
-        cum += p
-        if cum >= u:
-            return y
-    return table.ys[-1]  # float shortfall at u near 1
+    i = bisect.bisect_left(table._cum, u)
+    return table.ys[min(i, len(table.ys) - 1)]
 
 
 def mean(table: PmfTable) -> float:

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from .distributions import Dist, PmfTable, UrnParams, maxnh_pmf, pmf_table
 from .errors import DomainError, ParameterError
 
-# Log-space pmf evaluation carries last-digit noise, so equality of adjacent
-# masses (a plateau) is declared at this relative tolerance.
+# Table rows carry the rounding of their ratio recurrence, a few ulp per
+# row walked, so two masses that are equal in exact arithmetic can differ in
+# the last digits; equality of adjacent masses (a plateau) is declared at
+# this relative tolerance.
 EQ_RTOL = 1e-12
 
 

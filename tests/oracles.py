@@ -60,24 +60,32 @@ def maxnh_ref(N: int, m: int, c: int, y: int) -> Fraction:
     return Fraction(num, ff_int(N, 2 * c + y))
 
 
+# The Bernoulli references work in exact rationals at the float p (with
+# q = 1 - p exact) and round once, so they hold at any c: float powers such
+# as p**c underflow, and float(comb) overflows, once c reaches the thousands.
+
+
 def nb_ref(c: int, p: float, y: int) -> float:
     if y < 0:
         return 0.0
-    return math.comb(c + y - 1, c - 1) * p**c * (1 - p) ** y
+    p = Fraction(p)
+    return float(math.comb(c + y - 1, c - 1) * p**c * (1 - p) ** y)
 
 
 def maxnb_ref(c: int, p: float, y: int) -> float:
     if y < 0:
         return 0.0
+    p = Fraction(p)
     q = 1 - p
-    return math.comb(2 * c + y - 1, c - 1) * (p**y + q**y) * (p * q) ** c
+    return float(math.comb(2 * c + y - 1, c - 1) * (p**y + q**y) * (p * q) ** c)
 
 
 def minnb_ref(c: int, p: float, y: int) -> float:
     if y < 0 or y > c - 1:
         return 0.0
+    p = Fraction(p)
     q = 1 - p
-    return math.comb(c + y - 1, c - 1) * (p**c * q**y + p**y * q**c)
+    return float(math.comb(c + y - 1, c - 1) * (p**c * q**y + p**y * q**c))
 
 
 def halfnormal_head_gap_bounds(N: int, c: int) -> tuple[float, float]:

@@ -4,10 +4,12 @@ rendering, exit codes, and the self-check's sensitivity to perturbations.
 
 import csv
 import io
+import math
+import time
 
 import pytest
 
-from urnwait import cli
+from urnwait import BernoulliParams, Dist, cdf, cli, pmf_table
 from urnwait.distributions import maxnh_pmf
 
 
@@ -41,6 +43,31 @@ class TestPmf:
         assert header == "y,pmf,cdf"
         assert data[1][2] == "0.587412587"
         assert data[-1][2] == "1"
+
+    def test_cdf_column_is_the_library_cdf(self, capsys):
+        code, out, _ = run(["pmf", "nb", "--c", "2", "--p", "0.5", "--cdf"], capsys)
+        assert code == 0
+        table = pmf_table(Dist.NB, BernoulliParams(2, 0.5))
+        _, data = rows(out)
+        assert [r[2] for r in data] == [f"{cdf(table, y):.9g}" for y in table.ys]
+        # 1013/1024 exactly; a running float sum printed ...813 here.
+        assert data[8][2] == "0.989257812"
+
+    @pytest.mark.parametrize("dist", ["nb", "maxnb"])
+    def test_large_c_bernoulli_terminates(self, dist, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(["pmf", dist, "--c", "5000", "--p", "0.5"], capsys)
+        assert code == 0
+        assert time.perf_counter() - start < 2.0
+        table = pmf_table(Dist(dist), BernoulliParams(5000, 0.5))
+        _, data = rows(out)
+        assert len(data) == len(table.ys)
+        assert math.fsum(table.probs) == pytest.approx(1.0, abs=1e-10)
+
+    def test_row_cap_exit_2(self, capsys):
+        code, _, err = run(["pmf", "nb", "--c", "5000", "--p", "1e-7"], capsys)
+        assert code == 2
+        assert "1000000 rows" in err
 
     def test_bernoulli_family_needs_no_population(self, capsys):
         code, out, _ = run(["pmf", "nb", "--c", "2", "--p", "0.5"], capsys)

@@ -6,6 +6,7 @@ and against their own exact-rational twins.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,9 @@ from urnwait import (
     quantile,
     support,
 )
+from urnwait import distributions
 from urnwait._enumeration import enumerate_pmf
-from urnwait.distributions import _maxnh_pmf_binom
+from urnwait.distributions import TAIL_EPS, _maxnh_pmf_binom
 
 URN_DISTS = (Dist.NH, Dist.MINNH, Dist.MAXNH)
 
@@ -45,6 +47,15 @@ def urn_params(draw, n_max=60):
     m = draw(st.integers(min_value=1, max_value=N - 1))
     c = draw(st.integers(min_value=1, max_value=min(m, N - m)))
     return UrnParams(N, m, c)
+
+
+def bulk_rows(probs, k=16):
+    """About k evenly spaced rows across the bulk (rows of at least 1e-12
+    of the largest), plus the mode."""
+    mode = probs.index(max(probs))
+    big = [y for y, p in enumerate(probs) if p >= 1e-12 * probs[mode]]
+    lo, hi = big[0], big[-1]
+    return sorted(set(range(lo, hi + 1, max(1, (hi - lo) // (k - 1)))) | {mode})
 
 
 class TestParamValidation:
@@ -169,6 +180,14 @@ class TestSymmetry:
         for y in support(dist, params):
             assert exact_pmf(dist, params, y) == exact_pmf(dist, flipped, y)
 
+    @pytest.mark.parametrize("dist", [Dist.MAXNH, Dist.MINNH])
+    @given(params=urn_params(n_max=400))
+    @settings(deadline=None, max_examples=60)
+    def test_m_flip_tables_are_bit_identical(self, dist, params):
+        # The table's two terms trade places, and float addition commutes.
+        flipped = UrnParams(params.N, params.N - params.m, params.c)
+        assert pmf_table(dist, params).probs == pmf_table(dist, flipped).probs
+
 
 class TestClosedFormCorners:
     def test_single_ball_of_each_color_needed(self):
@@ -229,11 +248,116 @@ class TestSupportAndTables:
         assert t.truncation is None
 
     def test_table_matches_pointwise_pmf(self):
+        # The table is held to the exact rationals; the pointwise log-space
+        # path is the less accurate of the two, so they agree to rel 1e-13.
         params = UrnParams(15, 6, 3)
         t = pmf_table(Dist.MAXNH, params)
         assert t.ys == list(range(7))
         for y, p in zip(t.ys, t.probs):
-            assert p == pmf(Dist.MAXNH, params, y)
+            want = float(exact_pmf(Dist.MAXNH, params, y))
+            assert abs(p - want) <= 2 * math.ulp(want), y
+        for N, m, c in oracles.valid_triples(40):
+            params = UrnParams(N, m, c)
+            for dist in URN_DISTS:
+                t = pmf_table(dist, params)
+                for y, p in zip(t.ys, t.probs):
+                    q = pmf(dist, params, y)
+                    assert abs(p - q) <= 1e-13 * q, (dist, params, y)
+
+    def test_open_support_is_the_table_range(self):
+        params = BernoulliParams(4, 0.3)
+        for dist in (Dist.NB, Dist.MAXNB):
+            assert support(dist, params) == range(len(pmf_table(dist, params).ys))
+
+    @pytest.mark.parametrize("dist", [Dist.NB, Dist.MAXNB])
+    @pytest.mark.parametrize("c, p", [(1, 0.9), (5, 0.3), (40, 0.5), (7, 0.125)])
+    def test_truncation_rule(self, dist, c, p):
+        # The last row lies past the mode, and the exact mass beyond it is
+        # below TAIL_EPS.
+        ref = oracles.nb_ref if dist is Dist.NB else oracles.maxnb_ref
+        t = pmf_table(dist, BernoulliParams(c, p))
+        last = t.ys[-1]
+        assert ref(c, p, last + 1) < ref(c, p, last)
+        assert 1.0 - math.fsum(ref(c, p, y) for y in t.ys) < TAIL_EPS
+
+    def test_row_cap_raises_quickly(self):
+        start = time.perf_counter()
+        for dist in (Dist.NB, Dist.MAXNB):
+            with pytest.raises(DomainError, match="1000000 rows"):
+                pmf_table(dist, BernoulliParams(5000, 1e-7))
+        assert time.perf_counter() - start < 2.0
+
+    def test_maxnh_table_is_cross_checked(self, monkeypatch):
+        # Under __debug__, rows 0, the mode and the last row of every maxnh
+        # table are held to the binomial form, evaluated from lgamma.
+        params = UrnParams(250, 60, 10)
+        real = distributions._maxnh_pmf_lgamma
+        seen = []
+
+        def spy(params, y):
+            seen.append(y)
+            return real(params, y)
+
+        monkeypatch.setattr(distributions, "_maxnh_pmf_lgamma", spy)
+        t = pmf_table(Dist.MAXNH, params)
+        assert sorted(seen) == sorted({0, t.probs.index(max(t.probs)), t.ys[-1]})
+
+        def off(params, y):
+            return real(params, y) * (1 + 1e-9)
+
+        monkeypatch.setattr(distributions, "_maxnh_pmf_lgamma", off)
+        with pytest.raises(AssertionError):
+            pmf_table(Dist.MAXNH, params)
+
+    @pytest.mark.parametrize(
+        "triple", [(100_000, 50_000, 300), (200_000, 80_000, 100), (3000, 1200, 1)]
+    )
+    def test_maxnh_cross_check_reference_keeps_pointwise_slack(self, triple):
+        # The log-factorial table behind _maxnh_pmf_binom drifts 3.4e-9 off
+        # the exact pmf at (1e5, 5e4, 300), beyond the pointwise check's
+        # slack; the lgamma reference stays within it, so accurate tables
+        # pass their cross-check.
+        params = UrnParams(*triple)
+        N = params.N
+        slack = 1e-12 + 4 * math.ulp(1.0) * math.lgamma(N + 1)
+        t = pmf_table(Dist.MAXNH, params)
+        for y in bulk_rows(t.probs):
+            want = exact_pmf(Dist.MAXNH, params, y)
+            got = Fraction(distributions._maxnh_pmf_lgamma(params, y))
+            assert abs(got - want) <= slack * want, y
+
+
+class TestTableAccuracy:
+    """pmf_table against exact values at sizes the small-N suites never reach."""
+
+    @pytest.mark.parametrize(
+        "dist, triple",
+        [
+            (Dist.MAXNH, (100_000, 40_000, 50)),
+            (Dist.NH, (100_000, 90_000, 50)),
+            (Dist.MAXNH, (10_000, 6049, 50)),
+            (Dist.MINNH, (250, 200, 30)),
+        ],
+    )
+    def test_urn_tables_in_the_bulk(self, dist, triple):
+        params = UrnParams(*triple)
+        t = pmf_table(dist, params)
+        for y in bulk_rows(t.probs):
+            want = exact_pmf(dist, params, y)
+            assert abs(Fraction(t.probs[y]) - want) <= want / 10**13, y
+
+    @pytest.mark.parametrize("c", [5, 50, 2000])
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_bernoulli_tables_in_the_bulk(self, c, p):
+        params = BernoulliParams(c, p)
+        for dist, ref in (
+            (Dist.NB, oracles.nb_ref),
+            (Dist.MAXNB, oracles.maxnb_ref),
+            (Dist.MINNB, oracles.minnb_ref),
+        ):
+            t = pmf_table(dist, params)
+            for y in bulk_rows(t.probs):
+                assert t.probs[y] == pytest.approx(ref(c, p, y), rel=1e-11), (dist, y)
 
 
 class TestCdfQuantileMean:
@@ -252,6 +376,25 @@ class TestCdfQuantileMean:
             assert cdf(t, y) == pytest.approx(w, abs=5e-10)
         assert cdf(t, -1) == 0.0
         assert cdf(t, 99) == pytest.approx(1.0, abs=1e-12)
+
+    def test_cdf_is_the_correctly_rounded_prefix_sum(self):
+        for dist, params in (
+            (Dist.MAXNH, UrnParams(250, 100, 10)),
+            (Dist.NH, UrnParams(40, 9, 3)),
+            (Dist.NB, BernoulliParams(5, 0.3)),
+            (Dist.MAXNB, BernoulliParams(3, 0.4)),
+        ):
+            t = pmf_table(dist, params)
+            for y in t.ys:
+                assert cdf(t, y) == math.fsum(t.probs[: y + 1])
+            assert cdf(t, len(t.ys) + 5) == math.fsum(t.probs)
+
+    def test_quantile_is_the_first_row_reaching_u(self):
+        t = pmf_table(Dist.NB, BernoulliParams(5, 0.3))
+        levels = [cdf(t, y) for y in t.ys] + [0.0, 1e-300, 0.37, 1.0]
+        for u in levels:
+            want = next((y for y in t.ys if cdf(t, y) >= u), t.ys[-1])
+            assert quantile(t, u) == want
 
     def test_quantile(self):
         t = pmf_table(Dist.MAXNH, UrnParams(15, 6, 3))
