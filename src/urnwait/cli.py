@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
+from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -28,7 +30,13 @@ from .distributions import (
     support,
 )
 from .errors import DomainError, ParameterError
-from .estimation import classify_critical_point, loglik_kernel, mle, profile
+from .estimation import (
+    classify_critical_point,
+    loglik_grad,
+    loglik_kernel,
+    mle,
+    profile,
+)
 from .modes import local_modes, unimodal_m_range
 from .urn_simulator import (
     SimConfig,
@@ -269,9 +277,61 @@ def _check_enumeration() -> tuple[str, float, float, bool]:
     return ("enumeration N<=12", float_dev, 1e-12, ok and float_dev <= 1e-12)
 
 
+# (N, c + y, the values of c) of the small-population mle shapes checked
+# against exact rationals.
+_LIKELIHOOD_SHAPES = (
+    (20, 8, (2, 3, 4)),
+    (21, 8, (2, 3, 4)),
+    (40, 14, (4, 5, 6)),
+    (41, 14, (4, 5, 6)),
+    (60, 20, (6, 7, 8)),
+    (61, 20, (6, 7, 8)),
+)
+
+
+def _exact_likelihood(m: float, N: int, c: int, y: int) -> tuple[Fraction, Fraction]:
+    """The likelihood and L' = S'/S at the float m, in exact rationals.
+
+    With m = p/q, each product of 2c+y factors is formed on integer
+    numerators as (value, derivative) pairs: a factor m - i is (p - iq)/q
+    with derivative q/q, a factor N - m - j is ((N-j)q - p)/q with -q/q.
+    """
+    p, q = m.as_integer_ratio()
+    s = ds = 0
+    for a, b in ((c, c + y), (c + y, c)):
+        v, d = 1, 0
+        for f, df in [(p - i * q, q) for i in range(a)] + [
+            ((N - j) * q - p, -q) for j in range(b)
+        ]:
+            v, d = v * f, d * f + v * df
+        s, ds = s + v, ds + d
+    return Fraction(s, q ** (2 * c + y) * math.perm(N, 2 * c + y)), Fraction(ds, s)
+
+
+def _check_likelihood() -> tuple[str, float, float, bool]:
+    """loglik_kernel and loglik_grad against exact rationals at N <= 61.
+
+    The deviation is the worst of the absolute error of L and the error of
+    L' relative to max(1, |L'|), at two real m in (N/2, N-c) per shape.
+    """
+    dev = 0.0
+    for N, total, cs in _LIKELIHOOD_SHAPES:
+        for c in cs:
+            y = total - c
+            for k in range(2):
+                m = N / 2 + (k + 0.37) * (N / 2 - c) / 2
+                lik, grad = _exact_likelihood(m, N, c, y)
+                err_l = abs(loglik_kernel(m, N, c, y) - math.log(lik))
+                g = Fraction(loglik_grad(m, N, c, y))
+                err_g = abs(g - grad) / max(1, abs(grad))
+                dev = max(dev, err_l, float(err_g))
+    return ("likelihood N<=61", dev, 1e-12, dev <= 1e-12)
+
+
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     suites = _check_figures()
     suites.append(_check_enumeration())
+    suites.append(_check_likelihood())
     _emit(
         ("suite", "max_deviation", "tolerance", "status"),
         [

@@ -115,14 +115,17 @@ class PmfTable:
 
         Every float is a whole multiple of 2**-1074, so the running sum is an
         exact integer in that unit and only the final division rounds: entry
-        y equals math.fsum(probs[:y+1]) bit for bit.
+        y equals math.fsum(probs[:y+1]) bit for bit. A zero row repeats the
+        previous entry without dividing again.
         """
         unit = 1 << 1074
-        acc, out = 0, []
+        acc, last, out = 0, 0.0, []
         for p in self.probs:
-            n, d = p.as_integer_ratio()
-            acc += n << (1075 - d.bit_length())
-            out.append(acc / unit)
+            if p:
+                n, d = p.as_integer_ratio()
+                acc += n << (1075 - d.bit_length())
+                last = acc / unit
+            out.append(last)
         return out
 
 

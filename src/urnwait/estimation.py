@@ -15,6 +15,7 @@ quantity phi below, which is negative for small y and grows with y.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class Classification(enum.Enum):
     GLOBAL_MAX_AT_HALF = "global_max_at_half"
     LOCAL_MIN_AT_HALF = "local_min_at_half"
+    ZERO_AT_HALF = "zero_at_half"
 
 
 @dataclass(frozen=True)
@@ -59,78 +61,56 @@ def _check_nc(N: int, c: int, y: int) -> None:
         raise ParameterError(f"y must be nonnegative, got {y}")
 
 
-def _terms(m: float, N: int, c: int, y: int) -> tuple:
-    ff = kernel.falling_factorial
-    t1 = kernel.signed_log_mul(ff(m, c), ff(N - m, c + y))
-    t2 = kernel.signed_log_mul(ff(m, c + y), ff(N - m, c))
-    return t1, t2
-
-
-def _bracketed_sum(m: float, N: int, c: int, y: int):
-    t1, t2 = _terms(m, N, c, y)
-    s = kernel.signed_log_add(t1, t2)
-    if s.sign <= 0:
+def _parts(m: float, N: int, c: int, y: int, moments: int = 0):
+    """S = A B (C + D) from two walks of c + y terms: A = m^(c), C = (m-c)^(y),
+    B = (N-m)^(c), D = (N-m-c)^(y). The two products are A B D and A B C, so
+    C + D has their relative residual and takes the CANCEL_EPS zero rule.
+    Returns the four walk runs, C/(C+D), D/(C+D), and C + D as s * 2**e.
+    """
+    A, C = kernel._walk(m, (c, y), moments)
+    B, D = kernel._walk(N - m, (c, y), moments)
+    e = max(C[1], D[1])
+    cv, dv = math.ldexp(C[0], C[1] - e), math.ldexp(D[0], D[1] - e)
+    s = cv + dv
+    if A[0] * B[0] * s <= 0.0 or abs(s) <= kernel.CANCEL_EPS * max(abs(cv), abs(dv)):
         raise DomainError(
             f"likelihood kernel undefined: the bracketed sum is <= 0 at m={m}"
         )
-    return t1, t2, s
+    return A, B, C, D, cv / s, dv / s, s, e
+
+
+@functools.lru_cache(maxsize=64)
+def _den(N: int, n: int) -> tuple:
+    """N^(n), walked over the exact integers N, N-1, ..."""
+    return kernel._walk(float(N), (n,))[0]
 
 
 def loglik_kernel(m: float, N: int, c: int, y: int) -> float:
     """L(m), defined wherever the two-term sum is positive."""
     _check_nc(N, c, y)
-    den = kernel.falling_factorial(N, 2 * c + y)
-    if den.sign == 0:
+    if 2 * c + y > N:
         raise DomainError(f"y={y} is impossible for N={N}, c={c}")
-    _, _, s = _bracketed_sum(m, N, c, y)
-    return s.logmag - den.logmag
-
-
-def _recip_sums(x: float, k: int) -> tuple[float, float]:
-    """(sum 1/(x-i), sum 1/(x-i)^2) for i = 0..k-1; poles raise."""
-    h1 = h2 = 0.0
-    for i in range(k):
-        d = x - i
-        if d == 0.0:
-            raise DomainError(f"derivative pole at x={x}, i={i}")
-        h1 += 1.0 / d
-        h2 += 1.0 / (d * d)
-    return h1, h2
+    A, B, _, _, _, _, s, e = _parts(m, N, c, y)
+    den = _den(N, 2 * c + y)
+    # the binary exponents cancel as integers before any log is taken
+    return math.log(A[0] * B[0] * s / den[0]) + (A[1] + B[1] + e - den[1]) * kernel._LN2
 
 
 def loglik_grad(m: float, N: int, c: int, y: int) -> float:
-    """Analytic dL/dm via term-wise differentiation of the factorial polynomials."""
+    """L' = A'/A + B'/B + (C' + D')/(C + D), where P'/P = sum 1/(z-i) for a
+    factorial polynomial in z; B and D run in N - m, which flips the sign."""
     _check_nc(N, c, y)
-    t1, t2, s = _bracketed_sum(m, N, c, y)
-    # T = m^(a) (N-m)^(b) has T' = T (sum_i 1/(m-i) - sum_j 1/(N-m-j)).
-    g1 = _recip_sums(m, c)[0] - _recip_sums(N - m, c + y)[0]
-    g2 = _recip_sums(m, c + y)[0] - _recip_sums(N - m, c)[0]
-    num = kernel.signed_log_add(
-        kernel.signed_log_scale(t1, g1), kernel.signed_log_scale(t2, g2)
-    )
-    return kernel.signed_log_div(num, s).to_real()
+    A, B, C, D, wc, wd, _, _ = _parts(m, N, c, y, 1)
+    return A[2] - B[2] + wc * C[2] - wd * D[2]
 
 
 def loglik_hess(m: float, N: int, c: int, y: int) -> float:
-    """Analytic d2L/dm2: S''/S - (S'/S)^2 with term-wise S' and S''."""
+    """L'' from the same terms: (log P)'' = -sum 1/(z-i)^2 and
+    P''/P = (P'/P)^2 + (log P)''."""
     _check_nc(N, c, y)
-    t1, t2, s = _bracketed_sum(m, N, c, y)
-    a1, a1sq = _recip_sums(m, c)
-    b1, b1sq = _recip_sums(N - m, c + y)
-    a2, a2sq = _recip_sums(m, c + y)
-    b2, b2sq = _recip_sums(N - m, c)
-    g1, g2 = a1 - b1, a2 - b2
-    # T'' = T ((sum_i - sum_j)^2 - sum_i squares - sum_j squares)
-    curv1 = g1 * g1 - a1sq - b1sq
-    curv2 = g2 * g2 - a2sq - b2sq
-    snum = kernel.signed_log_add(
-        kernel.signed_log_scale(t1, curv1), kernel.signed_log_scale(t2, curv2)
-    )
-    gnum = kernel.signed_log_add(
-        kernel.signed_log_scale(t1, g1), kernel.signed_log_scale(t2, g2)
-    )
-    sp = kernel.signed_log_div(gnum, s).to_real()
-    return kernel.signed_log_div(snum, s).to_real() - sp * sp
+    A, B, C, D, wc, wd, _, _ = _parts(m, N, c, y, 2)
+    v = wc * C[2] - wd * D[2]
+    return wc * (C[2] ** 2 - C[3]) + wd * (D[2] ** 2 - D[3]) - v * v - A[3] - B[3]
 
 
 def phi(N: int, c: int, y: int) -> float:
@@ -155,13 +135,15 @@ def phi(N: int, c: int, y: int) -> float:
 
 
 def classify_critical_point(N: int, c: int, y: int) -> CriticalPointReport:
-    v = phi(N, c, y)
-    kind = (
-        Classification.GLOBAL_MAX_AT_HALF
-        if v < 0
-        else Classification.LOCAL_MIN_AT_HALF
-    )
-    return CriticalPointReport(v, kind)
+    """Sign analysis at N/2; where phi has a pole (even N, y > N/2 - c), N/2
+    is a zero of the likelihood: ZERO_AT_HALF, with phi_value nan."""
+    try:
+        v = phi(N, c, y)
+    except DomainError:
+        return CriticalPointReport(math.nan, Classification.ZERO_AT_HALF)
+    if v < 0:
+        return CriticalPointReport(v, Classification.GLOBAL_MAX_AT_HALF)
+    return CriticalPointReport(v, Classification.LOCAL_MIN_AT_HALF)
 
 
 def _golden_max(f, a: float, b: float, width: float) -> tuple[float, float]:
@@ -181,16 +163,45 @@ def _golden_max(f, a: float, b: float, width: float) -> tuple[float, float]:
     return a, b
 
 
+def _gradient_root(g, a: float, b: float, lo: float, hi: float) -> float:
+    """Where g = L' falls through zero. [a, b] steps the way g points, by
+    doubling steps inside [lo, hi], until g(a) >= 0 >= g(b), then is bisected
+    on g to M_TOL/100. If L still rises at hi, or falls from lo, that end
+    is the maximizer."""
+    ga, gb = g(a), g(b)
+    w = b - a
+    while gb > 0.0 and b < hi:
+        a, ga, b = b, gb, min(b + w, hi)
+        gb, w = g(b), 2.0 * w
+    while ga < 0.0 and a > lo:
+        b, gb, a = a, ga, max(a - w, lo)
+        ga, w = g(a), 2.0 * w
+    if gb > 0.0:
+        a = b
+    elif ga < 0.0:
+        b = a
+    while b - a > M_TOL * 1e-2:
+        mid = 0.5 * (a + b)
+        if g(mid) > 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def mle(N: int, c: int, y: int) -> set[float]:
     """Maximum-likelihood estimates of m, always as the symmetric set.
 
-    If phi < 0 the likelihood peaks at N/2 and {N/2} is returned. Otherwise
-    the maximum on [N/2, N-c] is located by golden-section search refined by
-    bisection on the gradient, and {m_hat, N - m_hat} is returned.
+    If phi < 0 the likelihood peaks at N/2 and {N/2} is returned. Otherwise,
+    and when N/2 is a zero of the likelihood, golden-section search on
+    [N/2, N-c] brackets the maximum to 1e-6, the gradient locates it (see
+    _gradient_root), and {m_hat, N - m_hat} is returned. Where the gradient
+    is undefined, golden-section search finishes instead.
     """
-    p = phi(N, c, y)
+    if 2 * c + y > N:
+        raise DomainError(f"y={y} is impossible for N={N}, c={c}")
     half = N / 2
-    if p < 0:
+    if classify_critical_point(N, c, y).phi_value < 0:
         return {half}
 
     def f(m: float) -> float:
@@ -202,19 +213,10 @@ def mle(N: int, c: int, y: int) -> set[float]:
     lo, hi = half, N - c - EDGE_CLIP
     a, b = _golden_max(f, lo, hi, 1e-6)
     try:
-        ga, gb = loglik_grad(a, N, c, y), loglik_grad(b, N, c, y)
+        m_hat = _gradient_root(lambda m: loglik_grad(m, N, c, y), a, b, lo, hi)
     except DomainError:
-        ga, gb = -1.0, -1.0  # force the fallback below
-    if ga >= 0.0 >= gb:
-        while b - a > M_TOL * 1e-2:
-            mid = 0.5 * (a + b)
-            if loglik_grad(mid, N, c, y) > 0.0:
-                a = mid
-            else:
-                b = mid
-    else:
         a, b = _golden_max(f, a, b, M_TOL * 1e-2)
-    m_hat = 0.5 * (a + b)
+        m_hat = 0.5 * (a + b)
     return {m_hat, N - m_hat}
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
+from operator import mul, truediv
 
 from .errors import DomainError
 
@@ -17,9 +19,7 @@ from .errors import DomainError
 # exact zero rather than a spurious rounding remainder.
 CANCEL_EPS = 1e-13
 
-# Running-product bounds before the accumulator is folded into the log.
-_FLUSH_HI = 1e280
-_FLUSH_LO = 1e-280
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,10 @@ def log_factorial(n: int) -> float:
 def falling_factorial(z: float, k: int) -> SignedLogValue:
     """The factorial polynomial z*(z-1)*...*(z-k+1), with value 1 at k=0.
 
-    Total over all real z. Non-integer z takes the literal signed product,
-    which stays finite between the integer roots where a gamma-ratio form
-    would sit on a pole; integer z >= 0 short-circuits through the exact
-    log-factorial table (zero when 0 <= z < k).
+    Total over all real z. Non-integer z takes the literal signed product
+    (see _walk), which stays finite between the integer roots where a
+    gamma-ratio form would sit on a pole; integer z >= 0 short-circuits
+    through the exact log-factorial table (zero when 0 <= z < k).
     """
     if k < 0:
         raise DomainError(f"falling_factorial needs k >= 0, got {k}")
@@ -87,23 +87,43 @@ def falling_factorial(z: float, k: int) -> SignedLogValue:
         if zi >= k:
             return SignedLogValue(1, log_factorial(zi) - log_factorial(zi - k))
         # negative integers fall through to the product form
-    sign = 1
-    logmag = 0.0
-    acc = 1.0
-    for i in range(k):
-        f = z - i
-        if f == 0.0:
-            return ZERO
-        acc *= f
-        a = abs(acc)
-        if not _FLUSH_LO < a < _FLUSH_HI:
-            if acc < 0.0:
-                sign = -sign
-            logmag += math.log(a)
-            acc = 1.0
-    if acc < 0.0:
-        sign = -sign
-    return SignedLogValue(sign, logmag + math.log(abs(acc)))
+    ((t, e, _, _),) = _walk(z, (k,))
+    return SignedLogValue(1 if t > 0.0 else -1, math.log(abs(t)) + e * _LN2)
+
+
+def _walk(z: float, lengths, moments: int = 0) -> list[tuple]:
+    """Products of consecutive runs of the terms z, z-1, z-2, ...
+
+    _walk(m, (c, y)) gives m^(c) and (m-c)^(y). Each run is (t, e, h1, h2):
+    the product is t * 2**e with 0.5 <= |t| <= 1 (t = 0.0 at a zero term),
+    and with moments 1 or 2, h1 = sum 1/term and h2 = sum 1/term**2, where a
+    zero term raises DomainError. math.prod multiplies in C, k terms at a
+    time, and frexp renormalizes after each chunk: every term is below
+    2**x in magnitude, so k = 1022 // x of them stay below 2**1022.
+    """
+    total = sum(lengths)
+    k = 1022 // max(math.frexp(abs(z) + total)[1], 1)
+    terms = accumulate(repeat(-1.0, total - 1), initial=z)
+    out = []
+    for n in lengths:
+        t, e, h1, h2 = 1.0, 0, 0.0, 0.0
+        while n > 0:
+            j = n if n < k else k
+            n -= j
+            chunk = islice(terms, j)
+            if moments:
+                chunk = list(chunk)
+                try:
+                    inv = list(map(truediv, repeat(1.0), chunk))
+                except ZeroDivisionError:
+                    raise DomainError(f"derivative pole, walking from {z}") from None
+                h1 += math.fsum(inv)
+                if moments > 1:
+                    h2 += math.fsum(map(mul, inv, inv))
+            t, x = math.frexp(math.prod(chunk, start=t))
+            e += x
+        out.append((t, e, h1, h2))
+    return out
 
 
 def falling_factorial_exact(z: int, k: int) -> int:

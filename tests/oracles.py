@@ -8,6 +8,7 @@ with the package under test.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from fractions import Fraction
 from importlib import resources
@@ -115,6 +116,56 @@ def lam_ref(m: float, N: int, c: int, y: int) -> float:
         N - m, c
     )
     return math.log(s / ff_float(N, 2 * c + y))
+
+
+@functools.lru_cache(maxsize=64)
+def _likelihood_jet(m: float, N: int, c: int, y: int) -> tuple[int, ...]:
+    """(S, S', S'') at the float m, exact, each times q^(2c+y), and q^(2c+y).
+
+    S is the bracketed sum and m = p/q exactly. A factor m - i is
+    (p - i q)/q with d/dm = q/q, a factor N - m - j is ((N-j) q - p)/q with
+    d/dm = -q/q. Products follow Leibniz on the integer numerators; both
+    terms of S have 2c+y factors, so they share the denominator.
+    """
+    p, q = Fraction(m).as_integer_ratio()
+
+    def product(factors):
+        v, d1, d2 = 1, 0, 0
+        for f, df in factors:
+            v, d1, d2 = v * f, d1 * f + v * df, d2 * f + 2 * d1 * df
+        return v, d1, d2
+
+    def term(a, b):
+        left = [(p - i * q, q) for i in range(a)]
+        right = [((N - j) * q - p, -q) for j in range(b)]
+        return product(left + right)
+
+    t1, t2 = term(c, c + y), term(c + y, c)
+    return tuple(u + v for u, v in zip(t1, t2)) + (q ** (2 * c + y),)
+
+
+def log_rational(x: Fraction) -> float:
+    """ln x for a positive rational, to a few ulp of its absolute size."""
+    shift = x.numerator.bit_length() - x.denominator.bit_length()
+    return math.log(x / Fraction(2) ** shift) + shift * math.log(2.0)
+
+
+def loglik_exact(m: float, N: int, c: int, y: int) -> float:
+    """L(m) = ln(S / N^(2c+y)) from the exact rational likelihood."""
+    s, _, _, scale = _likelihood_jet(m, N, c, y)
+    return log_rational(Fraction(s, scale * math.perm(N, 2 * c + y)))
+
+
+def grad_exact(m: float, N: int, c: int, y: int) -> Fraction:
+    """L'(m) = S'/S in exact rationals."""
+    s, s1, _, _ = _likelihood_jet(m, N, c, y)
+    return Fraction(s1, s)
+
+
+def hess_exact(m: float, N: int, c: int, y: int) -> Fraction:
+    """L''(m) = S''/S - (S'/S)^2 in exact rationals."""
+    s, s1, s2, _ = _likelihood_jet(m, N, c, y)
+    return Fraction(s2, s) - Fraction(s1, s) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,13 @@ class TestMle:
         assert classification == "local_min_at_half"
         assert float(phi_s) > 0
 
+    def test_zero_of_the_likelihood_at_half(self, capsys):
+        # N/2 = 10 is a zero of L for (20, 8, 3); the maxima are off it
+        code, out, _ = run(["mle", "--N", "20", "--c", "8", "--y", "3"], capsys)
+        assert code == 0
+        _, data = rows(out)
+        assert data == [["8.35573651;11.6442635", "nan", "zero_at_half"]]
+
     def test_profile_grid(self, capsys):
         code, out, err = run(
             ["mle", "--N", "20", "--c", "3", "--y", "0", "--profile", "3:17:0.25"],
@@ -243,6 +250,19 @@ class TestSelfcheck:
         assert len(data) >= 6
         assert all(r[3] == "PASS" for r in data)
         assert {r[0] for r in data} >= {"figure 1", "figure 6", "enumeration N<=12"}
+
+    def test_likelihood_suite(self, capsys, monkeypatch):
+        code, out, _ = run(["selfcheck"], capsys)
+        _, data = rows(out)
+        assert [r[3] for r in data if r[0] == "likelihood N<=61"] == ["PASS"]
+        for name in ("loglik_kernel", "loglik_grad"):
+            real = getattr(cli, name)
+            with monkeypatch.context() as mp:
+                mp.setattr(cli, name, lambda *a, f=real: f(*a) * (1 + 1e-10))
+                code, out, _ = run(["selfcheck"], capsys)
+            assert code == 1
+            _, data = rows(out)
+            assert [r[3] for r in data if r[0] == "likelihood N<=61"] == ["FAIL"]
 
     def test_detects_pmf_perturbation(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -389,6 +389,15 @@ class TestCdfQuantileMean:
                 assert cdf(t, y) == math.fsum(t.probs[: y + 1])
             assert cdf(t, len(t.ys) + 5) == math.fsum(t.probs)
 
+    def test_zero_rows_repeat_the_prefix_sum(self):
+        # 209 of the 981 rows underflow to 0.0, from row 772 on
+        t = pmf_table(Dist.MAXNH, UrnParams(2000, 1000, 20))
+        first_zero = t.probs.index(0.0)
+        assert all(p == 0.0 for p in t.probs[first_zero:])
+        for y in (first_zero - 1, first_zero, first_zero + 100, t.ys[-1]):
+            assert cdf(t, y) == math.fsum(t.probs[: y + 1])
+        assert set(t._cum[first_zero - 1 :]) == {t._cum[first_zero - 1]}
+
     def test_quantile_is_the_first_row_reaching_u(self):
         t = pmf_table(Dist.NB, BernoulliParams(5, 0.3))
         levels = [cdf(t, y) for y in t.ys] + [0.0, 1e-300, 0.37, 1.0]

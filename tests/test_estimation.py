@@ -5,6 +5,7 @@ roots from an exact-rational solver.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from urnwait import (
     phi,
     profile,
 )
+from urnwait.estimation import _gradient_root
 
 # phi(20, 3, y) for y = 0..7, exact-rational evaluation rounded to 9 digits
 PHI_20_3 = [
@@ -43,6 +45,20 @@ MHAT_20_3 = {
     6: 15.267213457100,
     7: 15.674910133694,
 }
+
+
+# Shapes of the benchmark's likelihood profiles, whose grid is [N/2, N-c-1].
+PROFILE_SHAPES = [(2000, 30, 200), (10001, 40, 400), (100000, 50, 2000)]
+
+# mle inputs where the 1e-6 golden bracket ends beside the maximizer, and
+# (20, 8, 3), where N/2 is a zero of the likelihood and phi has a pole.
+MLE_EXACT_CASES = [(2000, 30, 200), (2001, 29, 201), (10001, 40, 400), (20, 8, 3)]
+
+
+def _profile_points(N, c, count=5):
+    """count real m spread over the profile range, off the integers."""
+    lo, hi = N / 2, N - c - 1
+    return [lo + (j + 0.37) * (hi - lo) / count for j in range(count)]
 
 
 def _random_band_tuples(count, seed=20260816):
@@ -148,6 +164,26 @@ class TestDerivatives:
                     assert abs(loglik_grad(N / 2, N, c, y)) <= 1e-9, (N, c, y)
 
 
+class TestAgainstExactRationals:
+    @pytest.mark.parametrize("N, c, y", PROFILE_SHAPES)
+    def test_kernel_within_2e12(self, N, c, y):
+        for m in _profile_points(N, c):
+            want = oracles.loglik_exact(m, N, c, y)
+            assert abs(loglik_kernel(m, N, c, y) - want) <= 2e-12, m
+
+    @pytest.mark.parametrize("N, c, y", PROFILE_SHAPES)
+    def test_grad_relative(self, N, c, y):
+        for m in _profile_points(N, c):
+            want = oracles.grad_exact(m, N, c, y)
+            assert abs(Fraction(loglik_grad(m, N, c, y)) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("N, c, y", PROFILE_SHAPES)
+    def test_hess_relative(self, N, c, y):
+        for m in _profile_points(N, c):
+            want = oracles.hess_exact(m, N, c, y)
+            assert abs(Fraction(loglik_hess(m, N, c, y)) - want) <= 1e-11 * abs(want)
+
+
 class TestPhi:
     def test_frozen_sequence(self):
         for y, want in enumerate(PHI_20_3):
@@ -206,6 +242,47 @@ class TestMle:
         assert len(got) == 2
         hi = max(got)
         assert loglik_kernel(hi, 30, 2, 6) > loglik_kernel(15.0, 30, 2, 6)
+
+
+class TestMleAgainstExactRoot:
+    @pytest.mark.parametrize("N, c, y", MLE_EXACT_CASES)
+    def test_within_1e7_of_the_exact_gradient_root(self, N, c, y):
+        lo, hi = sorted(mle(N, c, y))
+        assert lo + hi == pytest.approx(N, abs=1e-9 * N)
+        # the exact L' changes sign from + to - within 1e-7 of the estimate
+        assert oracles.grad_exact(hi - 1e-7, N, c, y) > 0
+        assert oracles.grad_exact(hi + 1e-7, N, c, y) < 0
+
+    def test_zero_of_the_likelihood_at_half(self):
+        with pytest.raises(DomainError):
+            phi(20, 8, 3)
+        with pytest.raises(DomainError):
+            loglik_kernel(10.0, 20, 8, 3)
+        # C + D = 6 (m - 10)^2 here: a residual below CANCEL_EPS is a zero
+        with pytest.raises(DomainError):
+            loglik_kernel(10.0 + 1e-14, 20, 8, 3)
+        assert loglik_kernel(10.0 + 1e-9, 20, 8, 3) < -40
+        report = classify_critical_point(20, 8, 3)
+        assert report.classification is Classification.ZERO_AT_HALF
+        assert math.isnan(report.phi_value)
+        lo, hi = sorted(mle(20, 8, 3))
+        assert hi == pytest.approx(11.6442634939, abs=1e-9)
+        assert lo == pytest.approx(20 - 11.6442634939, abs=1e-9)
+
+    def test_impossible_y_raises(self):
+        with pytest.raises(DomainError):
+            mle(20, 3, 15)
+
+    def test_bracket_steps_toward_the_root(self):
+        # a root outside the starting bracket, either side
+        g = lambda m: 0.3 - m
+        for a in (0.0, 0.9):
+            got = _gradient_root(g, a, a + 1e-6, 0.0, 1.0)
+            assert got == pytest.approx(0.3, abs=1e-10)
+
+    def test_maximum_on_an_end(self):
+        assert _gradient_root(lambda m: 1.0, 0.2, 0.3, 0.0, 1.0) == 1.0
+        assert _gradient_root(lambda m: -1.0, 0.2, 0.3, 0.0, 1.0) == 0.0
 
 
 class TestProfile:

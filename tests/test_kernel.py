@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,70 @@ class TestFallingFactorial:
     def test_exact_is_big_integer(self):
         assert kernel.falling_factorial_exact(30, 30) == math.factorial(30)
         assert kernel.falling_factorial_exact(10, 3) == 720
+
+
+def _exact_product(z: float, start: int, k: int) -> Fraction:
+    """(z - start)(z - start - 1)...(z - start - k + 1) at the float z, exact."""
+    out = Fraction(1)
+    for i in range(start, start + k):
+        out *= Fraction(z) - i
+    return out
+
+
+def _assert_matches(got: kernel.SignedLogValue, want: Fraction):
+    assert got.sign == (1 if want > 0 else -1)
+    want_log = oracles.log_rational(abs(want))
+    assert got.logmag == pytest.approx(want_log, rel=1e-15, abs=1e-13)
+
+
+class TestWalk:
+    """The chunked product behind the real-z branch of falling_factorial.
+
+    Terms below 2**x in magnitude are multiplied 1022 // x at a time, so the
+    chunk size K at z = 1000.5 is 92 and at z = 2**52 - 1/2 it is 19, where
+    20 terms would overflow a double.
+    """
+
+    @pytest.mark.parametrize("z, K", [(1000.5, 92), (2.0**52 - 0.5, 19)])
+    def test_around_the_chunk_size(self, z, K):
+        assert 1022 // math.frexp(abs(z) + 2 * K)[1] == K
+        for k in (K - 1, K, K + 1, 2 * K):
+            _assert_matches(kernel.falling_factorial(z, k), _exact_product(z, 0, k))
+
+    def test_negative_non_integer_z(self):
+        for k in (1, 2, 7, 40, 301):
+            got = kernel.falling_factorial(-7.25, k)
+            assert got.sign == (-1) ** k
+            _assert_matches(got, _exact_product(-7.25, 0, k))
+
+    def test_negative_integer_z_past_the_float_range(self):
+        # each term is about 1e300: one term a chunk
+        got = kernel.falling_factorial(-1e300, 3)
+        _assert_matches(got, _exact_product(-1e300, 0, 3))
+
+    @pytest.mark.parametrize("z", [5e-324, 7 * 5e-324, 1.2345e-310])
+    def test_subnormal_z(self, z):
+        for k in (1, 2, 5, 30):
+            _assert_matches(kernel.falling_factorial(z, k), _exact_product(z, 0, k))
+
+    def test_runs_are_consecutive_segments(self):
+        z = 1300.37
+        runs = kernel._walk(z, (30, 200, 0), moments=2)
+        for (t, e, h1, h2), (start, k) in zip(runs, ((0, 30), (30, 200), (230, 0))):
+            want = _exact_product(z, start, k)
+            assert 0.5 <= abs(t) <= 1.0
+            value = kernel.SignedLogValue(1, math.log(abs(t)) + e * math.log(2.0))
+            _assert_matches(value, want)
+            terms = [Fraction(z) - i for i in range(start, start + k)]
+            assert h1 == pytest.approx(float(sum(1 / u for u in terms)), rel=1e-14)
+            assert h2 == pytest.approx(float(sum(1 / u**2 for u in terms)), rel=1e-14)
+
+    def test_zero_term(self):
+        # an exact zero term zeroes its run; with moments it is a pole
+        runs = kernel._walk(5.0, (3, 4))
+        assert runs[0][0] != 0.0 and runs[1][0] == 0.0
+        with pytest.raises(DomainError):
+            kernel._walk(5.0, (3, 4), moments=1)
 
 
 class TestLogBinomial:
