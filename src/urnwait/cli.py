@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from . import _enumeration
 from .distributions import (
+    URN_DISTS,
     BernoulliParams,
     Dist,
     UrnParams,
@@ -38,15 +39,7 @@ from .estimation import (
     profile,
 )
 from .modes import local_modes, unimodal_m_range
-from .urn_simulator import (
-    SimConfig,
-    Xoshiro256StarStar,
-    _bernoulli_trial,
-    _urn_trial,
-    empirical_pmf,
-)
-
-_URN_DISTS = (Dist.NH, Dist.MINNH, Dist.MAXNH)
+from .urn_simulator import SimConfig, empirical_pmf, iter_outcomes
 
 # Figure regimes: figure -> (c, m_num, m_den); m = N*m_num/m_den and the
 # limiting Bernoulli p is m_num/m_den.
@@ -80,7 +73,7 @@ def _need(args: argparse.Namespace, *names: str) -> None:
 
 
 def _build_params(dist: Dist, args: argparse.Namespace):
-    if dist in _URN_DISTS:
+    if dist in URN_DISTS:
         _need(args, "N", "m", "c")
         return UrnParams(args.N, args.m, args.c)
     _need(args, "c", "p")
@@ -114,15 +107,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
         table = empirical_pmf(scheme, params, config)
         _emit(("y", "freq"), zip(table.ys, table.probs))
         return 0
-    rng = Xoshiro256StarStar(config.seed)
-    rows = []
-    for _ in range(config.trials):
-        if scheme in _URN_DISTS:
-            out = _urn_trial(params, rng, scheme)
-        else:
-            out = _bernoulli_trial(params, rng, scheme)
-        rows.append((out.y, out.terminal_color.value, out.counts[0], out.counts[1]))
-    _emit(("y", "terminal_color", "count1", "count2"), rows)
+    _emit(
+        ("y", "terminal_color", "count1", "count2"),
+        (
+            (out.y, out.terminal_color.value, *out.counts)
+            for out in iter_outcomes(scheme, params, config)
+        ),
+    )
     return 0
 
 
@@ -263,7 +254,7 @@ def _check_enumeration() -> tuple[str, float, float, bool]:
         for m in range(1, N):
             for c in range(1, min(m, N - m) + 1):
                 params = UrnParams(N, m, c)
-                for dist in _URN_DISTS:
+                for dist in URN_DISTS:
                     ref = _enumeration.enumerate_pmf(dist, params)
                     if sum(ref.values()) != 1:
                         ok = False

@@ -222,8 +222,8 @@ def maxnh_pmf(params: UrnParams, y: int) -> float:
         Pr[Y=y] = C(2c+y-1, c-1) {m^(c+y) (N-m)^(c) + m^(c) (N-m)^(c+y)}
                   / N^(2c+y)
 
-    for y in 0..max(m-c, N-m-c). A debug assertion cross-checks the
-    independent binomial-coefficient form on every call.
+    for y in 0..max(m-c, N-m-c). The tests hold it to the independent
+    binomial-coefficient form, _maxnh_pmf_binom.
     """
     N, m, c = params.N, params.m, params.c
     if y < 0 or y > max(m - c, N - m - c):
@@ -237,22 +237,9 @@ def maxnh_pmf(params: UrnParams, y: int) -> float:
         ),
     )
     v = kernel.signed_log_mul(kernel.log_binomial(2 * c + y - 1, c - 1), s)
-    out = kernel.signed_log_div(
+    return kernel.signed_log_div(
         v, kernel.falling_factorial(N, 2 * c + y)
     ).to_real()
-    if __debug__:
-        alt = _maxnh_pmf_binom(params, y)
-        # 1e-12 relative, plus a roundoff floor: the log-factorials behind
-        # both paths are O(N log N), and one ulp of such a log already
-        # exceeds 1e-12 once N reaches the thousands.
-        slack = 1e-12 + 4 * sys.float_info.epsilon * kernel.log_factorial(N)
-        assert abs(out - alt) <= slack * max(abs(out), abs(alt), 1e-300), (
-            params,
-            y,
-            out,
-            alt,
-        )
-    return out
 
 
 def _maxnh_pmf_binom(params: UrnParams, y: int) -> float:
@@ -330,11 +317,11 @@ _PMF = {
     Dist.MINNH: minnh_pmf,
 }
 
-_URN_DISTS = (Dist.NH, Dist.MAXNH, Dist.MINNH)
+URN_DISTS = (Dist.NH, Dist.MINNH, Dist.MAXNH)
 
 
 def _check_params(dist: Dist, params: UrnParams | BernoulliParams) -> None:
-    want = UrnParams if dist in _URN_DISTS else BernoulliParams
+    want = UrnParams if dist in URN_DISTS else BernoulliParams
     if not isinstance(params, want):
         raise ParameterError(f"{dist.value} takes {want.__name__}")
 
@@ -568,8 +555,9 @@ def _maxnh_pmf_lgamma(params: UrnParams, y: int) -> float:
 
 
 def _crosscheck_maxnh(params: UrnParams, probs: list[float]) -> None:
-    """Hold rows 0, the mode and the last row to _maxnh_pmf_lgamma, with
-    the slack of maxnh_pmf's own check."""
+    """Hold rows 0, the mode and the last row to _maxnh_pmf_lgamma, within
+    1e-12 relative plus 4 ulp of ln N! (one ulp of that log alone exceeds
+    1e-12 once N reaches the thousands)."""
     slack = 1e-12 + 4 * sys.float_info.epsilon * math.lgamma(params.N + 1)
     for y in {0, probs.index(max(probs)), len(probs) - 1}:
         alt = _maxnh_pmf_lgamma(params, y)

@@ -7,21 +7,32 @@ remaining1/total), which is equivalent to shuffling the urn up front.
 Randomness comes from xoshiro256** 1.0 (Blackman & Vigna, 2018), seeded
 through splitmix64, rather than platform default randomness: the algorithm
 is fixed here, so identical seeds reproduce identical draw sequences on any
-platform and any Python version. Integer draws use Lemire's multiply-shift
-reduction with rejection, which is exactly uniform.
+platform and any Python version. Every draw is exactly uniform, and one
+generator step serves many draws: a block of urn draws shares one Lemire
+draw below the product of their totals, and a Bernoulli draw reads 8-bit
+chunks of a word against p's binary expansion (README, "How the simulator
+draws").
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
+from typing import Iterator
 
 from .distributions import (
+    URN_DISTS,
     BernoulliParams,
     Dist,
     PmfTable,
     UrnParams,
+    _check_params,
+    support,
 )
 from .errors import ParameterError
 
@@ -111,177 +122,224 @@ class Xoshiro256StarStar:
 
 
 # ---------------------------------------------------------------------------
-# Single experiments
+# Trials
 # ---------------------------------------------------------------------------
 
 
-def _urn_trial(
-    params: UrnParams, rng: Xoshiro256StarStar, scheme: Dist
-) -> DrawOutcome:
-    N, m, c = params.N, params.m, params.c
-    rem1, rem2 = m, N - m
-    n1 = n2 = 0
-    while True:
-        first = rng.randbelow(rem1 + rem2) < rem1
-        if first:
-            n1 += 1
-            rem1 -= 1
-        else:
-            n2 += 1
-            rem2 -= 1
-        if scheme is Dist.MAXNH:
-            if n1 >= c and n2 >= c:
-                term = Color.FIRST if first else Color.SECOND
-                return DrawOutcome(n1 + n2 - 2 * c, term, (n1, n2))
-        elif scheme is Dist.MINNH:
-            if n1 == c or n2 == c:
-                term = Color.FIRST if n1 == c else Color.SECOND
-                return DrawOutcome(n1 + n2 - c, term, (n1, n2))
-        else:
-            if n1 == c:
-                return DrawOutcome(n2, Color.FIRST, (n1, n2))
+def _rule(scheme: Dist, c: int) -> tuple[int, int, int, int, int]:
+    """The stopping rule as (t1, g2, t2, g1, base): a draw of color one ends
+    the trial when it brings n1 to t1 while n2 >= g2, a draw of color two
+    when it brings n2 to t2 while n1 >= g1; y = n1 + n2 - base."""
+    if scheme in (Dist.MAXNH, Dist.MAXNB):  # c of both colors
+        return c, c, c, c, 2 * c
+    if scheme in (Dist.MINNH, Dist.MINNB):  # c of either color
+        return c, 0, c, 0, c
+    return c, 0, -1, 0, c  # c of color one
 
 
-def draw_until_both(params: UrnParams, seed: int) -> DrawOutcome:
-    """Draw without replacement until both colors have appeared c times."""
-    return _urn_trial(params, Xoshiro256StarStar(seed), Dist.MAXNH)
+def _blocks(T: int, k: int):
+    """Greedy blocks of the next k urn draws, totals T, T-1, ...: each is
+    the longest run whose product P fits in the fewest 64-bit words that
+    hold its first total, as (P, Lemire's rejection threshold, 64 * words,
+    the totals)."""
+    while k > 0:
+        bits = 64 * max(1, ((T - 1).bit_length() + 63) // 64)
+        P, n = T, 1
+        while n < k and P * (T - n) <= 1 << bits:
+            P *= T - n
+            n += 1
+        yield P, ((1 << bits) - P) % P, bits, range(T, T - n, -1)
+        T -= n
+        k -= n
 
 
-def draw_until_either(params: UrnParams, seed: int) -> DrawOutcome:
-    """Draw without replacement until either color has appeared c times."""
-    return _urn_trial(params, Xoshiro256StarStar(seed), Dist.MINNH)
+# Layouts longer than this many draws are walked lazily, not cached.
+_CACHED_DRAWS = 1 << 14
 
 
-def draw_until_c_successes(params: UrnParams, seed: int) -> DrawOutcome:
-    """Draw without replacement until the c-th ball of the first color."""
-    return _urn_trial(params, Xoshiro256StarStar(seed), Dist.NH)
+@functools.lru_cache(maxsize=32)
+def _layout(N: int, K: int) -> tuple | None:
+    return tuple(_blocks(N, K)) if K <= _CACHED_DRAWS else None
+
+
+def _urn_trials(params: UrnParams, scheme: Dist, rng: Xoshiro256StarStar):
+    """Endless trials as (y, first, n1, n2), first the terminal color; rng
+    takes the state reached when the generator closes. A block of draws
+    shares one Lemire draw u in [0, P) and reads off one divmod digit per
+    total (README, "How the simulator draws"). No trial draws more than
+    base + the largest y balls, so the layout stops there."""
+    N, m = params.N, params.m
+    t1, g2, t2, g1, base = _rule(scheme, params.c)
+    K = base + support(scheme, params)[-1]
+    layout = _layout(N, K)
+    # The rule on the balls left, with T the total before the draw: color
+    # one ends the trial when rem1 falls to e1 while rem2 <= h2, color two
+    # when T - rem1 (rem2 + 1 after the draw) reaches f2 while rem1 <= h1.
+    e1, h2, f2, h1 = m - t1, N - m - g2, N - m - t2 + 1, m - g1
+    dm = divmod
+    s0, s1, s2, s3 = rng._s
+    try:
+        while True:
+            rem1 = m
+            for P, thr, bits, totals in layout or _blocks(N, K):
+                while True:
+                    r = (s1 * 5) & _M64
+                    r = (((r << 7) | (r >> 57)) & _M64) * 9 & _M64
+                    t = (s1 << 17) & _M64
+                    s2 ^= s0
+                    s3 ^= s1
+                    s1 ^= s2
+                    s0 ^= s3
+                    s2 ^= t
+                    s3 = ((s3 << 45) | (s3 >> 19)) & _M64
+                    if bits > 64:  # a total above 2**64: more words
+                        rng._s = [s0, s1, s2, s3]
+                        for _ in range(bits // 64 - 1):
+                            r = r << 64 | rng.next_u64()
+                        s0, s1, s2, s3 = rng._s
+                    r *= P
+                    u = r >> bits
+                    if r - (u << bits) >= thr:
+                        break
+                for T in totals:
+                    u, d = dm(u, T)
+                    if d < rem1:
+                        rem1 -= 1
+                        if rem1 == e1 and T - 1 - rem1 <= h2:
+                            first = True
+                            break
+                    elif T - rem1 == f2 and rem1 <= h1:
+                        first = False
+                        break
+                else:
+                    continue
+                break
+            n1 = m - rem1
+            n2 = N - T + 1 - n1
+            yield n1 + n2 - base, first, n1, n2
+    finally:
+        rng._s = [s0, s1, s2, s3]
+
+
+def _chunks(p: float) -> bytes:
+    """p's binary expansion in 8-bit chunks, most significant first: p is
+    exactly int.from_bytes(chunks, "big") / 256**len(chunks)."""
+    a, b = float(p).as_integer_ratio()
+    e = b.bit_length() - 1
+    n = -(-e // 8)
+    return (a << (8 * n - e)).to_bytes(n, "big")
+
+
+def _bernoulli_trials(params: BernoulliParams, scheme: Dist, rng: Xoshiro256StarStar):
+    """Endless trials, as _urn_trials gives them. A draw reads the stream
+    8 bits at a time, low end of each word first, against the chunks of p
+    until one differs; a tie on all of them means U >= p. A word's unread
+    chunks carry into the next trial."""
+    t1, g2, t2, g1, base = _rule(scheme, params.c)
+    pc = _chunks(params.p)
+    last = len(pc) - 1
+    s0, s1, s2, s3 = rng._s
+    w = k = j = 0  # the word being read, its chunks left, the chunk of p
+    try:
+        while True:
+            n1 = n2 = 0
+            while True:
+                if not k:
+                    r = (s1 * 5) & _M64
+                    w = (((r << 7) | (r >> 57)) & _M64) * 9 & _M64
+                    t = (s1 << 17) & _M64
+                    s2 ^= s0
+                    s3 ^= s1
+                    s1 ^= s2
+                    s0 ^= s3
+                    s2 ^= t
+                    s3 = ((s3 << 45) | (s3 >> 19)) & _M64
+                    k = 8
+                k -= 1
+                ch = w & 255
+                w >>= 8
+                pj = pc[j]
+                if ch != pj:
+                    first = ch < pj
+                elif j < last:
+                    j += 1
+                    continue
+                else:
+                    first = False
+                j = 0
+                if first:
+                    n1 += 1
+                    if n1 == t1 and n2 >= g2:
+                        break
+                else:
+                    n2 += 1
+                    if n2 == t2 and n1 >= g1:
+                        break
+            yield n1 + n2 - base, first, n1, n2
+    finally:
+        rng._s = [s0, s1, s2, s3]
+
+
+def _trials(scheme: Dist, params: UrnParams | BernoulliParams, rng: Xoshiro256StarStar):
+    _check_params(scheme, params)
+    if scheme in URN_DISTS:
+        return _urn_trials(params, scheme, rng)
+    return _bernoulli_trials(params, scheme, rng)
+
+
+def _outcome(y: int, first: bool, n1: int, n2: int) -> DrawOutcome:
+    return DrawOutcome(y, Color.FIRST if first else Color.SECOND, (n1, n2))
+
+
+def _one(scheme: Dist, params, rng: Xoshiro256StarStar) -> DrawOutcome:
+    trials = _trials(scheme, params, rng)
+    out = _outcome(*next(trials))
+    trials.close()
+    return out
+
+
+def _urn_trial(params: UrnParams, rng: Xoshiro256StarStar, scheme: Dist) -> DrawOutcome:
+    """One urn trial on a caller's generator, which it advances."""
+    return _one(scheme, params, rng)
 
 
 def _bernoulli_trial(
     params: BernoulliParams, rng: Xoshiro256StarStar, scheme: Dist
 ) -> DrawOutcome:
-    c, p = params.c, params.p
-    n1 = n2 = 0
-    while True:
-        first = rng.random() < p
-        if first:
-            n1 += 1
-        else:
-            n2 += 1
-        if scheme is Dist.MAXNB:
-            if n1 >= c and n2 >= c:
-                term = Color.FIRST if first else Color.SECOND
-                return DrawOutcome(n1 + n2 - 2 * c, term, (n1, n2))
-        elif scheme is Dist.MINNB:
-            if n1 == c or n2 == c:
-                term = Color.FIRST if n1 == c else Color.SECOND
-                return DrawOutcome(n1 + n2 - c, term, (n1, n2))
-        else:
-            if n1 == c:
-                return DrawOutcome(n2, Color.FIRST, (n1, n2))
+    """One Bernoulli trial on a caller's generator, which it advances past
+    the last word read; chunks of that word left unread are dropped."""
+    return _one(scheme, params, rng)
+
+
+def draw_until_both(params: UrnParams, seed: int) -> DrawOutcome:
+    """Draw without replacement until both colors have appeared c times."""
+    return _one(Dist.MAXNH, params, Xoshiro256StarStar(seed))
+
+
+def draw_until_either(params: UrnParams, seed: int) -> DrawOutcome:
+    """Draw without replacement until either color has appeared c times."""
+    return _one(Dist.MINNH, params, Xoshiro256StarStar(seed))
+
+
+def draw_until_c_successes(params: UrnParams, seed: int) -> DrawOutcome:
+    """Draw without replacement until the c-th ball of the first color."""
+    return _one(Dist.NH, params, Xoshiro256StarStar(seed))
 
 
 def bernoulli_scheme(params: BernoulliParams, scheme: Dist, seed: int) -> DrawOutcome:
     """Run one of the three stopping rules on iid Bernoulli(p) draws."""
-    if scheme not in (Dist.NB, Dist.MAXNB, Dist.MINNB):
+    if scheme in URN_DISTS:
         raise ParameterError(f"not a Bernoulli scheme: {scheme.value}")
-    return _bernoulli_trial(params, Xoshiro256StarStar(seed), scheme)
+    return _one(scheme, params, Xoshiro256StarStar(seed))
 
 
-# ---------------------------------------------------------------------------
-# Histograms
-# ---------------------------------------------------------------------------
-
-_URN_SCHEMES = (Dist.NH, Dist.MINNH, Dist.MAXNH)
-
-
-def _hist_urn(
-    scheme: Dist, N: int, m: int, c: int, trials: int, seed: int
-) -> dict[int, int]:
-    # Hot loop: the generator step and the Lemire draw are inlined (one
-    # continuous stream, same algorithm as Xoshiro256StarStar), since a
-    # method call per ball drawn dominates the runtime at 10^6 trials.
-    s0, s1, s2, s3 = _seed_state(seed)
-    counts: dict[int, int] = {}
-    is_max = scheme is Dist.MAXNH
-    is_min = scheme is Dist.MINNH
-    for _ in range(trials):
-        rem1, rem2 = m, N - m
-        n1 = n2 = 0
-        while True:
-            total = rem1 + rem2
-            while True:
-                r = (s1 * 5) & _M64
-                r = (((r << 7) | (r >> 57)) & _M64) * 9 & _M64
-                t = (s1 << 17) & _M64
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t
-                s3 = ((s3 << 45) | (s3 >> 19)) & _M64
-                prod = r * total
-                low = prod & _M64
-                if low >= total or low >= (_TWO64 - total) % total:
-                    break
-            if prod >> 64 < rem1:
-                n1 += 1
-                rem1 -= 1
-            else:
-                n2 += 1
-                rem2 -= 1
-            if is_max:
-                if n1 >= c and n2 >= c:
-                    y = n1 + n2 - 2 * c
-                    break
-            elif is_min:
-                if n1 == c or n2 == c:
-                    y = n1 + n2 - c
-                    break
-            elif n1 == c:
-                y = n2
-                break
-        counts[y] = counts.get(y, 0) + 1
-    return counts
-
-
-def _hist_bernoulli(
-    scheme: Dist, c: int, p: float, trials: int, seed: int
-) -> dict[int, int]:
-    s0, s1, s2, s3 = _seed_state(seed)
-    counts: dict[int, int] = {}
-    is_max = scheme is Dist.MAXNB
-    is_min = scheme is Dist.MINNB
-    scale = 2.0**-53
-    for _ in range(trials):
-        n1 = n2 = 0
-        while True:
-            r = (s1 * 5) & _M64
-            r = (((r << 7) | (r >> 57)) & _M64) * 9 & _M64
-            t = (s1 << 17) & _M64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _M64
-            if (r >> 11) * scale < p:
-                n1 += 1
-            else:
-                n2 += 1
-            if is_max:
-                if n1 >= c and n2 >= c:
-                    y = n1 + n2 - 2 * c
-                    break
-            elif is_min:
-                if n1 == c or n2 == c:
-                    y = n1 + n2 - c
-                    break
-            elif n1 == c:
-                y = n2
-                break
-        counts[y] = counts.get(y, 0) + 1
-    return counts
+def iter_outcomes(
+    scheme: Dist, params: UrnParams | BernoulliParams, config: SimConfig
+) -> Iterator[DrawOutcome]:
+    """The config.trials outcomes of one seeded stream, in order; they
+    tally to empirical_pmf with the same config."""
+    trials = _trials(scheme, params, Xoshiro256StarStar(config.seed))
+    return (_outcome(*t) for t in islice(trials, config.trials))
 
 
 def empirical_pmf(
@@ -293,21 +351,10 @@ def empirical_pmf(
 
     The table is contiguous from y=0 with zero-frequency gaps filled in.
     """
-    if scheme in _URN_SCHEMES:
-        if not isinstance(params, UrnParams):
-            raise ParameterError(f"{scheme.value} takes UrnParams")
-        counts = _hist_urn(
-            scheme, params.N, params.m, params.c, config.trials, config.seed
-        )
-    else:
-        if not isinstance(params, BernoulliParams):
-            raise ParameterError(f"{scheme.value} takes BernoulliParams")
-        counts = _hist_bernoulli(
-            scheme, params.c, params.p, config.trials, config.seed
-        )
-    top = max(counts)
-    ys = list(range(top + 1))
-    probs = [counts.get(y, 0) / config.trials for y in ys]
+    trials = _trials(scheme, params, Xoshiro256StarStar(config.seed))
+    counts = Counter(map(itemgetter(0), islice(trials, config.trials)))
+    ys = list(range(max(counts) + 1))
+    probs = [counts[y] / config.trials for y in ys]
     return PmfTable(scheme, params, ys, probs, None)
 
 

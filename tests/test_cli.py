@@ -127,6 +127,24 @@ class TestSample:
         assert header == "y,freq"
         assert sum(float(r[1]) for r in data) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "scheme_args",
+        [
+            ["maxnh", "--N", "15", "--m", "6", "--c", "3"],
+            ["maxnb", "--c", "3", "--p", "0.4"],
+        ],
+    )
+    def test_raw_rows_tally_to_empirical_table(self, scheme_args, capsys):
+        argv = ["sample", *scheme_args, "--trials", "3000", "--seed", "8"]
+        _, raw, _ = run(argv, capsys)
+        _, table, _ = run([*argv, "--empirical-pmf"], capsys)
+        _, data = rows(raw)
+        counts = [0] * (1 + max(int(r[0]) for r in data))
+        for r in data:
+            counts[int(r[0])] += 1
+        _, freqs = rows(table)
+        assert freqs == [[str(y), f"{n / 3000:.9g}"] for y, n in enumerate(counts)]
+
     def test_bernoulli_scheme(self, capsys):
         code, out, _ = run(
             ["sample", "maxnb", "--c", "3", "--p", "0.4", "--trials", "2",

@@ -314,7 +314,7 @@ class TestSupportAndTables:
     )
     def test_maxnh_cross_check_reference_keeps_pointwise_slack(self, triple):
         # The log-factorial table behind _maxnh_pmf_binom drifts 3.4e-9 off
-        # the exact pmf at (1e5, 5e4, 300), beyond the pointwise check's
+        # the exact pmf at (1e5, 5e4, 300), beyond the cross-check's
         # slack; the lgamma reference stays within it, so accurate tables
         # pass their cross-check.
         params = UrnParams(*triple)

@@ -6,6 +6,7 @@ correct implementation fails any single one with probability < 5e-4.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from scipy import stats
@@ -26,10 +27,12 @@ from urnwait import (
     draw_until_c_successes,
     draw_until_either,
     empirical_pmf,
+    iter_outcomes,
     pmf,
     pmf_table,
     tv_distance,
 )
+from urnwait.urn_simulator import _chunks
 
 _M64 = (1 << 64) - 1
 
@@ -61,6 +64,197 @@ def _ref_stream(seed, count):
         s[2] ^= t
         s[3] = rotl(s[3], 45)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference trials, written from the _ref_stream words alone
+# ---------------------------------------------------------------------------
+
+
+def _ref_words(seed):
+    """_ref_stream(seed, ...) as an endless iterator."""
+    got, n = 0, 64
+    while True:
+        yield from _ref_stream(seed, n)[got:]
+        got, n = n, 2 * n
+
+
+def _ref_stopped(dist, c, n1, n2):
+    if dist in (Dist.MAXNH, Dist.MAXNB):
+        return n1 >= c and n2 >= c
+    if dist in (Dist.MINNH, Dist.MINNB):
+        return n1 == c or n2 == c
+    return n1 == c
+
+
+def _ref_outcome(dist, c, n1, n2, last):
+    y = {Dist.MAXNH: n1 + n2 - 2 * c, Dist.MAXNB: n1 + n2 - 2 * c,
+         Dist.MINNH: n1 + n2 - c, Dist.MINNB: n1 + n2 - c}.get(dist, n2)
+    return DrawOutcome(y, Color.FIRST if last == 0 else Color.SECOND, (n1, n2))
+
+
+def _ref_urn_trial(dist, params, words):
+    """One urn trial: the draws go in blocks, each the longest run of
+    totals N-k, N-k-1, ... (at most the scheme's longest trial) whose
+    product P fits in the 64-bit words its first total needs; a block takes
+    u in [0, P) by Lemire's multiply-and-reject and reads off one digit per
+    total with divmod, color one iff the digit is below the balls of color
+    one left."""
+    N, m, c = params.N, params.m, params.c
+    longest = {
+        Dist.MAXNH: c + max(m, N - m), Dist.MINNH: 2 * c - 1, Dist.NH: c + N - m,
+    }[dist]
+    left, n, drawn = [m, N - m], [0, 0], 0
+    while True:
+        w = 1
+        while N - drawn > 2 ** (64 * w):
+            w += 1
+        totals = [N - drawn]
+        while (
+            drawn + len(totals) < longest
+            and math.prod(totals) * (N - drawn - len(totals)) <= 2 ** (64 * w)
+        ):
+            totals.append(N - drawn - len(totals))
+        P = math.prod(totals)
+        while True:
+            x = 0
+            for _ in range(w):
+                x = x * 2**64 + next(words)
+            u, low = divmod(x * P, 2 ** (64 * w))
+            if low >= (2 ** (64 * w) - P) % P:
+                break
+        for T in totals:
+            u, d = divmod(u, T)
+            color = 0 if d < left[0] else 1
+            left[color] -= 1
+            n[color] += 1
+            drawn += 1
+            if _ref_stopped(dist, c, *n):
+                return _ref_outcome(dist, c, *n, color)
+
+
+def _ref_chunks(words):
+    """The stream as 8-bit chunks, low end of each word first."""
+    for w in words:
+        for i in range(8):
+            yield w >> (8 * i) & 255
+
+
+def _ref_bernoulli_trial(dist, params, chunks):
+    """One Bernoulli trial: a draw reads chunks as the base-256 digits of
+    U until the interval they leave U in lies wholly below p (color one)
+    or wholly at or above it."""
+    p, c = Fraction(params.p), params.c
+    n = [0, 0]
+    while True:
+        v, scale = 0, 1
+        while True:
+            v, scale = 256 * v + next(chunks), 256 * scale
+            if Fraction(v + 1, scale) <= p:
+                color = 0
+                break
+            if Fraction(v, scale) >= p:
+                color = 1
+                break
+        n[color] += 1
+        if _ref_stopped(dist, c, *n):
+            return _ref_outcome(dist, c, *n, color)
+
+
+def _ref_trials(dist, params, seed, trials):
+    words = _ref_words(seed)
+    if isinstance(params, UrnParams):
+        return [_ref_urn_trial(dist, params, words) for _ in range(trials)]
+    chunks = _ref_chunks(words)
+    return [_ref_bernoulli_trial(dist, params, chunks) for _ in range(trials)]
+
+
+_SINGLE = {
+    Dist.MAXNH: draw_until_both,
+    Dist.MINNH: draw_until_either,
+    Dist.NH: draw_until_c_successes,
+}
+
+
+def _single(dist, params, seed):
+    if dist in _SINGLE:
+        return _SINGLE[dist](params, seed)
+    return bernoulli_scheme(params, dist, seed)
+
+
+_URN_CASES = [
+    (dist, UrnParams(*t))
+    for dist in (Dist.NH, Dist.MINNH, Dist.MAXNH)
+    for t in ((15, 6, 3), (60, 30, 8), (1600, 800, 40))
+]
+_P_NEAR_ONE = math.nextafter(1.0, 0.0)
+# nb needs c draws below p and maxnb also c at or above it, so an extreme p
+# goes only where a trial ends in reasonable time.
+_BERNOULLI_CASES = [
+    (dist, BernoulliParams(c, p))
+    for c in (1, 3, 20)
+    for p in (0.1, 0.4, 0.5, 1e-300, _P_NEAR_ONE)
+    for dist in (Dist.NB, Dist.MAXNB, Dist.MINNB)
+    if dist is Dist.MINNB or 0.1 <= p <= 0.5 or (dist is Dist.NB and p > 0.5)
+]
+
+
+class TestReferenceTrials:
+    @pytest.mark.parametrize("dist,params", _URN_CASES + _BERNOULLI_CASES)
+    def test_single_trials_match_reference(self, dist, params):
+        for seed in range(200):
+            want = _ref_trials(dist, params, seed, 1)[0]
+            assert _single(dist, params, seed) == want, seed
+
+    @pytest.mark.parametrize(
+        "dist,params",
+        [
+            (Dist.MAXNH, UrnParams(60, 30, 8)),
+            (Dist.NH, UrnParams(15, 6, 3)),
+            (Dist.MAXNB, BernoulliParams(3, 0.1)),
+            (Dist.MINNB, BernoulliParams(20, 1e-300)),
+        ],
+    )
+    def test_outcome_stream_matches_reference(self, dist, params):
+        # later trials continue the stream: a block's unused digits are
+        # dropped, unread chunks of a word carry over
+        got = list(iter_outcomes(dist, params, SimConfig(seed=99, trials=40)))
+        assert got == _ref_trials(dist, params, 99, 40)
+
+    @pytest.mark.parametrize("draw", [draw_until_both, draw_until_either])
+    def test_totals_above_two_to_the_64(self, draw):
+        # each draw takes two words at N = 2**70
+        params = UrnParams(2**70, 2**69, 3)
+        dist = Dist.MAXNH if draw is draw_until_both else Dist.MINNH
+        for seed in range(5):
+            out = draw(params, seed)
+            assert out == _ref_trials(dist, params, seed, 1)[0]
+            assert sum(out.counts) <= 2 * 3 + out.y
+
+
+class TestBernoulliChunks:
+    @pytest.mark.parametrize(
+        "p", [0.1, 0.4, 0.5, 5e-324, 1e-300, _P_NEAR_ONE]
+    )
+    def test_expansion_is_exact(self, p):
+        chunks = _chunks(p)
+        assert Fraction(int.from_bytes(chunks, "big"), 256 ** len(chunks)) == Fraction(p)
+        assert chunks[-1] != 0
+
+    @pytest.mark.parametrize(
+        "p,seed,low_bits",
+        [(0.5, 184, 8), (0.5 + 2**-16, 25784, 16)],
+    )
+    def test_tie_on_every_chunk_is_not_first(self, p, seed, low_bits):
+        # the first word's low bytes spell out p's whole expansion, so the
+        # first draw has U in [p, p + 256**-len) and must fail
+        chunks = _chunks(p)
+        assert len(chunks) * 8 == low_bits
+        assert (_ref_stream(seed, 1)[0] & (2**low_bits - 1)).to_bytes(
+            len(chunks), "little"
+        ) == chunks
+        out = bernoulli_scheme(BernoulliParams(1, p), Dist.NB, seed)
+        assert out.y >= 1
 
 
 class TestGenerator:
@@ -109,9 +303,10 @@ class TestSingleDraws:
         assert draw_until_both(params, 123) == draw_until_both(params, 123)
 
     def test_regression_pin(self):
-        # guards the pinned stream against accidental algorithm edits
+        # guards the pinned stream against accidental algorithm edits; the
+        # value is the reference trial's at this seed
         assert draw_until_both(UrnParams(15, 6, 3), 2024) == DrawOutcome(
-            1, Color.SECOND, (4, 3)
+            4, Color.FIRST, (3, 7)
         )
 
     def test_balanced_urn_is_degenerate(self):
@@ -222,10 +417,14 @@ class TestEmpiricalPmf:
         assert math.fsum(table.probs) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_trial_matches_single_draw(self):
-        params = UrnParams(15, 6, 3)
-        for seed in range(20):
-            table = empirical_pmf(Dist.MAXNH, params, SimConfig(seed, 1))
-            assert table.probs[draw_until_both(params, seed).y] == 1.0
+        for dist in Dist:
+            if dist in _SINGLE:
+                params = UrnParams(15, 6, 3)
+            else:
+                params = BernoulliParams(3, 0.4)
+            for seed in range(20):
+                table = empirical_pmf(dist, params, SimConfig(seed, 1))
+                assert table.probs[_single(dist, params, seed).y] == 1.0
 
     @pytest.mark.parametrize(
         "dist,params",
