@@ -26,7 +26,7 @@ from .distributions import (
     maxnb_pmf,
     pmf_table,
 )
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 
 
 class ApproxKind(enum.Enum):
@@ -54,17 +54,22 @@ def gamma_approx_density(params: UrnParams, y: int) -> float:
 
     With theta = m/sqrt(N): (theta/sqrt(N)) x^(c-1) e^(-x) / (c-1)!
     Intended for m much smaller than N; no regime check is made, so the
-    small-m figure regimes evaluate as printed.
+    small-m figure regimes evaluate as printed. Evaluated in log space, so
+    (c-1)! and x^(c-1) cannot overflow.
     """
     N, m, c = params.N, params.m, params.c
     root = math.sqrt(N)
     theta = m / root
     x = theta * y / root
-    return (theta / root) * x ** (c - 1) * math.exp(-x) / math.gamma(c)
+    if x <= 0.0:  # y = 0 is exact; y < 0 lies outside the support
+        return theta / root if y == 0 and c == 1 else 0.0
+    return math.exp(math.log(theta / root) + (c - 1) * math.log(x) - x - math.lgamma(c))
 
 
 def halfnormal_approx_density(c: int, y: int) -> float:
     """Half-normal density for the balanced urn: scale sqrt(2c), x = y/scale."""
+    if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+        raise ParameterError(f"c must be an integer >= 1, got {c!r}")
     scale = math.sqrt(2 * c)
     x = y / scale
     return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x) / scale

@@ -129,146 +129,98 @@ class PmfTable:
         return out
 
 
+def _in_support(y: int, top: float) -> bool:
+    """Whether 0 <= y <= top; y must be an int, as in UrnParams."""
+    if not isinstance(y, int) or isinstance(y, bool):
+        raise ParameterError(f"y must be an integer, got {y!r}")
+    return 0 <= y <= top
+
+
 # ---------------------------------------------------------------------------
-# Bernoulli-population pmfs
+# Pointwise pmfs: a rational prefactor times one or two positive binomial or
+# hypergeometric terms (see README, "How single values are computed").
 # ---------------------------------------------------------------------------
 
 
 def nb_pmf(params: BernoulliParams, y: int) -> float:
-    """Failures before the c-th success: C(c+y-1, c-1) p^c q^y."""
-    if y < 0:
+    """Failures before the c-th success: C(c+y-1, c-1) p^c q^y, which is p
+    times the binomial term of c-1 successes in c+y-1 trials."""
+    if not _in_support(y, math.inf):
         return 0.0
     c, p = params.c, params.p
-    lb = kernel.log_binomial(c + y - 1, c - 1)
-    return math.exp(lb.logmag + c * math.log(p) + y * math.log1p(-p))
+    return p * math.exp(kernel._log_binom_term(c - 1, c + y - 1, p))
 
 
 def maxnb_pmf(params: BernoulliParams, y: int) -> float:
-    """Draws beyond 2c to see c of both outcomes: C(2c+y-1, c-1)(p^y + q^y)(pq)^c."""
-    if y < 0:
+    """Draws beyond 2c to see c of both outcomes: C(2c+y-1, c-1)(p^y + q^y)(pq)^c,
+    which is c/(2c+y) times the binomial terms of c+y and c successes in 2c+y."""
+    if not _in_support(y, math.inf):
         return 0.0
     c, p = params.c, params.p
-    lp, lq = math.log(p), math.log1p(-p)
-    lb = kernel.log_binomial(2 * c + y - 1, c - 1)
-    a, b = y * lp, y * lq
-    if a < b:
-        a, b = b, a
-    two_term = a + math.log1p(math.exp(b - a))
-    return math.exp(lb.logmag + two_term + c * (lp + lq))
+    n, b = 2 * c + y, kernel._log_binom_term
+    return c / n * (math.exp(b(c + y, n, p)) + math.exp(b(c, n, p)))
 
 
 def minnb_pmf(params: BernoulliParams, y: int) -> float:
-    """Draws beyond c to see c of either outcome: C(c+y-1, c-1)(p^c q^y + p^y q^c)."""
+    """Draws beyond c to see c of either outcome: C(c+y-1, c-1)(p^c q^y + p^y q^c),
+    which is c/(c+y) times the binomial terms of c and y successes in c+y."""
     c, p = params.c, params.p
-    if y < 0 or y > c - 1:
+    if not _in_support(y, c - 1):
         return 0.0
-    lp, lq = math.log(p), math.log1p(-p)
-    lb = kernel.log_binomial(c + y - 1, c - 1)
-    a, b = c * lp + y * lq, y * lp + c * lq
-    if a < b:
-        a, b = b, a
-    return math.exp(lb.logmag + a + math.log1p(math.exp(b - a)))
-
-
-# ---------------------------------------------------------------------------
-# Urn pmfs
-# ---------------------------------------------------------------------------
+    n, b = c + y, kernel._log_binom_term
+    return c / n * (math.exp(b(c, n, p)) + math.exp(b(y, n, p)))
 
 
 def nh_pmf(params: UrnParams, y: int) -> float:
     """Failures before the c-th success without replacement.
 
-    Pr[Y=y] = C(c+y-1, c-1) C(N-c-y, m-c) / C(N, m) for y in 0..N-m.
+    Pr[Y=y] = C(c+y-1, c-1) C(N-c-y, m-c) / C(N, m) for y in 0..N-m: the
+    hypergeometric term of c-1 successes in c+y-1 draws, times the chance
+    (m-c+1)/(N-c-y+1) that the next draw is a success.
     """
     N, m, c = params.N, params.m, params.c
-    if y < 0 or y > N - m:
+    if not _in_support(y, N - m):
         return 0.0
-    v = kernel.signed_log_mul(
-        kernel.log_binomial(c + y - 1, c - 1),
-        kernel.log_binomial(N - c - y, m - c),
-    )
-    return kernel.signed_log_div(v, kernel.log_binomial(N, m)).to_real()
+    h = math.exp(kernel._log_hyper_term(c - 1, m, N - m, c + y - 1))
+    return h * (m - c + 1) / (N - c - y + 1)
 
 
 def minnh_pmf(params: UrnParams, y: int) -> float:
     """Draws beyond c to see c balls of either color.
 
     Pr[Y=y] = C(c+y-1, c-1) {C(m,c)C(N-m,y) + C(m,y)C(N-m,c)}
-              / {C(c+y, c) C(N, c+y)} for y in 0..c-1.
+              / {C(c+y, c) C(N, c+y)} for y in 0..c-1,
+
+    c/(c+y) times the hypergeometric terms of c and y first-color balls.
     """
     N, m, c = params.N, params.m, params.c
-    if y < 0 or y > c - 1:
+    if not _in_support(y, c - 1):
         return 0.0
-    s = kernel.signed_log_add(
-        kernel.signed_log_mul(
-            kernel.log_binomial(m, c), kernel.log_binomial(N - m, y)
-        ),
-        kernel.signed_log_mul(
-            kernel.log_binomial(m, y), kernel.log_binomial(N - m, c)
-        ),
-    )
-    num = kernel.signed_log_mul(kernel.log_binomial(c + y - 1, c - 1), s)
-    den = kernel.signed_log_mul(
-        kernel.log_binomial(c + y, c), kernel.log_binomial(N, c + y)
-    )
-    return kernel.signed_log_div(num, den).to_real()
+    n, h = c + y, kernel._log_hyper_term
+    return c / n * (math.exp(h(c, m, N - m, n)) + math.exp(h(y, m, N - m, n)))
 
 
 def maxnh_pmf(params: UrnParams, y: int) -> float:
     """Draws beyond 2c to see c balls of both colors.
 
-    Production path is the factorial-polynomial form
-
-        Pr[Y=y] = C(2c+y-1, c-1) {m^(c+y) (N-m)^(c) + m^(c) (N-m)^(c+y)}
-                  / N^(2c+y)
-
-    for y in 0..max(m-c, N-m-c). The tests hold it to the independent
-    binomial-coefficient form, _maxnh_pmf_binom.
-    """
-    N, m, c = params.N, params.m, params.c
-    if y < 0 or y > max(m - c, N - m - c):
-        return 0.0
-    s = kernel.signed_log_add(
-        kernel.signed_log_mul(
-            kernel.falling_factorial(m, c + y), kernel.falling_factorial(N - m, c)
-        ),
-        kernel.signed_log_mul(
-            kernel.falling_factorial(m, c), kernel.falling_factorial(N - m, c + y)
-        ),
-    )
-    v = kernel.signed_log_mul(kernel.log_binomial(2 * c + y - 1, c - 1), s)
-    return kernel.signed_log_div(
-        v, kernel.falling_factorial(N, 2 * c + y)
-    ).to_real()
-
-
-def _maxnh_pmf_binom(params: UrnParams, y: int) -> float:
-    """Binomial-coefficient form of maxnh_pmf; independent cross-check path.
-
     Pr[Y=y] = {c/(2c+y)} {C(m, c+y)C(N-m, c) + C(m, c)C(N-m, c+y)} / C(N, 2c+y)
+
+    for y in 0..max(m-c, N-m-c): c/(2c+y) times the hypergeometric terms of
+    c+y and c first-color balls in 2c+y draws. Under __debug__, pmf_table
+    holds its rows to _maxnh_pmf_binom, an lgamma evaluation of this form.
     """
     N, m, c = params.N, params.m, params.c
-    if y < 0 or y > max(m - c, N - m - c):
+    if not _in_support(y, max(m - c, N - m - c)):
         return 0.0
-    s = kernel.signed_log_add(
-        kernel.signed_log_mul(
-            kernel.log_binomial(m, c + y), kernel.log_binomial(N - m, c)
-        ),
-        kernel.signed_log_mul(
-            kernel.log_binomial(m, c), kernel.log_binomial(N - m, c + y)
-        ),
-    )
-    v = kernel.signed_log_scale(s, c / (2 * c + y))
-    return kernel.signed_log_div(v, kernel.log_binomial(N, 2 * c + y)).to_real()
+    n, h = 2 * c + y, kernel._log_hyper_term
+    return c / n * (math.exp(h(c + y, m, N - m, n)) + math.exp(h(c, m, N - m, n)))
 
 
 def maxnh_p0(params: UrnParams) -> float:
-    """Closed form for Pr[Y=0] of maxnh: C(N-2c, m-c) C(2c, c) / C(N, m)."""
+    """Pr[Y=0] of maxnh: C(N-2c, m-c) C(2c, c) / C(N, m), which is the
+    hypergeometric term C(m, c) C(N-m, c) / C(N, 2c)."""
     N, m, c = params.N, params.m, params.c
-    v = kernel.signed_log_mul(
-        kernel.log_binomial(N - 2 * c, m - c), kernel.log_binomial(2 * c, c)
-    )
-    return kernel.signed_log_div(v, kernel.log_binomial(N, m)).to_real()
+    return math.exp(kernel._log_hyper_term(c, m, N - m, 2 * c))
 
 
 def exact_pmf(dist: Dist, params: UrnParams, y: int) -> Fraction:
@@ -278,14 +230,12 @@ def exact_pmf(dist: Dist, params: UrnParams, y: int) -> Fraction:
     rational masses.
     """
     N, m, c = params.N, params.m, params.c
-    ffe = kernel.falling_factorial_exact
     if dist is Dist.NH:
         if y < 0 or y > N - m:
             return Fraction(0)
-        return Fraction(
-            math.comb(c + y - 1, c - 1) * math.comb(N - c - y, m - c),
-            math.comb(N, m),
-        )
+        # C(N-c-y, m-c) / C(N, m), as falling factorials of length c+y
+        num = math.comb(c + y - 1, c - 1) * math.perm(m, c) * math.perm(N - m, y)
+        return Fraction(num, math.perm(N, c + y))
     if dist is Dist.MINNH:
         if y < 0 or y > c - 1:
             return Fraction(0)
@@ -298,9 +248,10 @@ def exact_pmf(dist: Dist, params: UrnParams, y: int) -> Fraction:
         if y < 0 or y > max(m - c, N - m - c):
             return Fraction(0)
         num = math.comb(2 * c + y - 1, c - 1) * (
-            ffe(m, c + y) * ffe(N - m, c) + ffe(m, c) * ffe(N - m, c + y)
+            math.perm(m, c + y) * math.perm(N - m, c)
+            + math.perm(m, c) * math.perm(N - m, c + y)
         )
-        return Fraction(num, ffe(N, 2 * c + y))
+        return Fraction(num, math.perm(N, 2 * c + y))
     raise ParameterError(f"{dist.value} has no exact rational pmf")
 
 
@@ -492,9 +443,9 @@ def _open_rows(dist: Dist, params: BernoulliParams) -> list[float]:
     c, p = params.c, params.p
     pn, pd = p.as_integer_ratio()
     k, j = (c, 1) if dist is Dist.NB else (2 * c, c + 1)
-    # The largest ratio peaks near y = (k g - j) / (1 - g): if that is past
-    # the cap, fail at once instead of filling rows first.
-    g = max(pn, pd - pn) / pd
+    # nb walks only its f = 1-p term. The walked term with the largest f, g,
+    # peaks near y = (k g - j)/(1 - g); past the cap, fail before filling rows.
+    g = (pd - pn) / pd if dist is Dist.NB else max(pn, pd - pn) / pd
     if g < 1.0 and k * g - j < _MAX_ROWS * (1.0 - g):
         if dist is Dist.NB:
             anchors = [(*_pow(p, c), pd - pn)]
@@ -535,14 +486,11 @@ def _open_rows(dist: Dist, params: BernoulliParams) -> list[float]:
     )
 
 
-def _maxnh_pmf_lgamma(params: UrnParams, y: int) -> float:
-    """The binomial form of _maxnh_pmf_binom, with lgamma in place of the
-    cumulative log-factorial table: the reference for pmf_table's maxnh
-    cross-check.
+def _maxnh_pmf_binom(params: UrnParams, y: int) -> float:
+    """maxnh's binomial form, with each C(n, k) from lgamma: the reference
+    for pmf_table's maxnh cross-check, within a few ulp of ln N!.
 
-    That table's ln(n!) drifts by up to a few sqrt(n) eps ln(n!) (3.4e-9 of
-    the pmf at N = 1e5), which both pointwise forms share but an accurate
-    table does not; lgamma's error does not grow with the length of a sum.
+    Pr[Y=y] = {c/(2c+y)} {C(m, c+y)C(N-m, c) + C(m, c)C(N-m, c+y)} / C(N, 2c+y)
     """
     N, m, c = params.N, params.m, params.c
     k = c + y
@@ -555,12 +503,12 @@ def _maxnh_pmf_lgamma(params: UrnParams, y: int) -> float:
 
 
 def _crosscheck_maxnh(params: UrnParams, probs: list[float]) -> None:
-    """Hold rows 0, the mode and the last row to _maxnh_pmf_lgamma, within
+    """Hold rows 0, the mode and the last row to _maxnh_pmf_binom, within
     1e-12 relative plus 4 ulp of ln N! (one ulp of that log alone exceeds
     1e-12 once N reaches the thousands)."""
     slack = 1e-12 + 4 * sys.float_info.epsilon * math.lgamma(params.N + 1)
     for y in {0, probs.index(max(probs)), len(probs) - 1}:
-        alt = _maxnh_pmf_lgamma(params, y)
+        alt = _maxnh_pmf_binom(params, y)
         assert abs(probs[y] - alt) <= slack * max(probs[y], alt, 1e-300), (
             params,
             y,

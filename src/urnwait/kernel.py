@@ -1,16 +1,16 @@
-"""Signed log-space arithmetic for factorial polynomials and binomials.
+"""Numerical kernels: binomial and hypergeometric terms for the pointwise
+pmfs, and the chunked factor products behind the likelihood at real m.
 
-Every probability in this package is assembled from falling factorials
-z*(z-1)*...*(z-k+1), whose raw values overflow doubles for moderate
-population sizes. They are therefore carried as (sign, log magnitude)
-pairs and converted to plain floats only at API boundaries.
+The terms follow C. Loader, "Fast and Accurate Computation of Binomial
+Probabilities" (2000), the method behind R's dbinom and dhyper: the log of
+a term is a sum of small Stirling remainders and deviances, never a
+difference of large log-factorials, so its error does not grow with n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from operator import mul, truediv
 
 from .errors import DomainError
@@ -22,39 +22,10 @@ CANCEL_EPS = 1e-13
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number as (sign, natural log of magnitude).
-
-    sign is -1, 0, or +1; sign 0 encodes exactly zero, and logmag is then
-    meaningless and never read.
-    """
-
-    sign: int
-    logmag: float
-
-    @classmethod
-    def from_real(cls, x: float) -> "SignedLogValue":
-        if x == 0.0:
-            return ZERO
-        return cls(1 if x > 0.0 else -1, math.log(abs(x)))
-
-    def to_real(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.logmag)
-        except OverflowError:
-            return self.sign * math.inf
-
-
-ZERO = SignedLogValue(0, 0.0)
-ONE = SignedLogValue(1, 0.0)
-
-
 # Cumulative table of ln(n!). Entries through n=20 come from exact integer
 # factorials; beyond that the table grows by adding ln(n) terms, which keeps
 # every entry consistent with its neighbors (no independent lgamma calls).
+# No pmf reads it; log_factorial stays public for callers outside the package.
 _LOG_FACT = [math.log(math.factorial(n)) for n in range(21)]
 _LOG_FACT[0] = 0.0
 
@@ -66,29 +37,6 @@ def log_factorial(n: int) -> float:
     while n >= len(_LOG_FACT):
         _LOG_FACT.append(_LOG_FACT[-1] + math.log(len(_LOG_FACT)))
     return _LOG_FACT[n]
-
-
-def falling_factorial(z: float, k: int) -> SignedLogValue:
-    """The factorial polynomial z*(z-1)*...*(z-k+1), with value 1 at k=0.
-
-    Total over all real z. Non-integer z takes the literal signed product
-    (see _walk), which stays finite between the integer roots where a
-    gamma-ratio form would sit on a pole; integer z >= 0 short-circuits
-    through the exact log-factorial table (zero when 0 <= z < k).
-    """
-    if k < 0:
-        raise DomainError(f"falling_factorial needs k >= 0, got {k}")
-    if k == 0:
-        return ONE
-    if isinstance(z, int) or (isinstance(z, float) and z.is_integer()):
-        zi = int(z)
-        if 0 <= zi < k:
-            return ZERO
-        if zi >= k:
-            return SignedLogValue(1, log_factorial(zi) - log_factorial(zi - k))
-        # negative integers fall through to the product form
-    ((t, e, _, _),) = _walk(z, (k,))
-    return SignedLogValue(1 if t > 0.0 else -1, math.log(abs(t)) + e * _LN2)
 
 
 def _walk(z: float, lengths, moments: int = 0) -> list[tuple]:
@@ -126,62 +74,80 @@ def _walk(z: float, lengths, moments: int = 0) -> list[tuple]:
     return out
 
 
-def falling_factorial_exact(z: int, k: int) -> int:
-    """Big-integer falling factorial for integer arguments (test oracle path)."""
-    out = 1
-    for i in range(k):
-        out *= z - i
-    return out
+_LN_2PI = math.log(2.0 * math.pi)
+
+# _stirlerr(n) for n = 0..15, from 50-digit decimal arithmetic; n = 0 is a
+# placeholder, never read.
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
 
 
-def log_binomial(n: int, k: int) -> SignedLogValue:
-    """C(n, k) as a SignedLogValue; exact zero when k < 0 or k > n."""
-    if k < 0 or k > n:
-        return ZERO
-    return SignedLogValue(
-        1, log_factorial(n) - log_factorial(k) - log_factorial(n - k)
-    )
+def _stirlerr(n: int) -> float:
+    """ln(n!) - ln(sqrt(2 pi n) (n/e)^n): tabulated through n = 15, and
+    above that Stirling's series 1/12n - 1/360n^3 + 1/1260n^5 - 1/1680n^7
+    + 1/1188n^9, whose next term is below 2e-16."""
+    if n <= 15:
+        return _STIRLERR[n]
+    nn = n * n
+    s = 1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn
+    return s / n
 
 
-def signed_log_add(a: SignedLogValue, b: SignedLogValue) -> SignedLogValue:
-    """a + b with log-sum-exp stabilization and exact-zero cancellation.
+def _bd0(x: int, mu: float) -> float:
+    """The deviance x ln(x/mu) + mu - x, for x > 0 and mu > 0.
 
-    Opposing terms whose residual is below CANCEL_EPS of the larger operand
-    collapse to the exact zero, so downstream logs see a domain error rather
-    than rounding noise.
+    Near x = mu, where that form cancels, it is the series (x-mu) v + 2x
+    sum_j v^(2j+1)/(2j+1) in v = (x-mu)/(x+mu), each term below 1/100 of
+    the last; farther out, x log1p(d/mu) - d with d = x - mu.
     """
-    if a.sign == 0:
-        return b
-    if b.sign == 0:
-        return a
-    if a.logmag < b.logmag:
-        a, b = b, a
-    d = b.logmag - a.logmag  # <= 0
-    if a.sign == b.sign:
-        return SignedLogValue(a.sign, a.logmag + math.log1p(math.exp(d)))
-    r = -math.expm1(d)  # residual as a fraction of the larger magnitude
-    if r <= CANCEL_EPS:
-        return ZERO
-    return SignedLogValue(a.sign, a.logmag + math.log(r))
+    d = x - mu
+    if abs(d) >= 0.1 * (x + mu):
+        return x * math.log1p(d / mu) - d
+    v = d / (x + mu)
+    s = d * v
+    ej = 2 * x * v
+    v *= v
+    for j in count(3, 2):
+        ej *= v
+        s1 = s + ej / j
+        if s1 == s:
+            return s
+        s = s1
 
 
-def signed_log_mul(a: SignedLogValue, b: SignedLogValue) -> SignedLogValue:
-    if a.sign == 0 or b.sign == 0:
-        return ZERO
-    return SignedLogValue(a.sign * b.sign, a.logmag + b.logmag)
+def _log_binom_term(x: int, n: int, p: float) -> float:
+    """ln of C(n, x) p^x (1-p)^(n-x) at the float p; -inf where it is 0.
+
+    For 0 < x < n, Loader's stirlerr(n) - stirlerr(x) - stirlerr(n-x) -
+    bd0(x, np) - bd0(n-x, nq) - ln(2 pi x (n-x)/n)/2. The error is a few ulp
+    of the log plus up to eps |x - np|, from the rounding of np and nq.
+    """
+    if x < 0 or x > n:
+        return -math.inf
+    if p == 0.0 or p == 1.0:  # a point mass at x = np
+        return 0.0 if x == n * p else -math.inf
+    if x == 0:
+        return n * math.log1p(-p)
+    if x == n:
+        return n * math.log(p)
+    q = 1.0 - p
+    lc = _stirlerr(n) - _stirlerr(x) - _stirlerr(n - x)
+    lc -= _bd0(x, n * p) + _bd0(n - x, n * q)
+    # Loader's form is C(n, x) p^x q^(n-x) e^(n(1-p-q)), and q rounds for
+    # p < 1/2: e = q - (1-p), computed exactly, turns it into the term at 1-p.
+    e = p - (1.0 - q)
+    lc += n * e + (n - x) * math.log1p(-e / q)
+    return lc - 0.5 * (_LN_2PI + math.log(x * (n - x) / n))
 
 
-def signed_log_div(a: SignedLogValue, b: SignedLogValue) -> SignedLogValue:
-    if b.sign == 0:
-        raise DomainError("division by an exact-zero SignedLogValue")
-    if a.sign == 0:
-        return ZERO
-    return SignedLogValue(a.sign * b.sign, a.logmag - b.logmag)
-
-
-def signed_log_scale(a: SignedLogValue, x: float) -> SignedLogValue:
-    """a times a plain real factor x."""
-    if a.sign == 0 or x == 0.0:
-        return ZERO
-    s = a.sign if x > 0.0 else -a.sign
-    return SignedLogValue(s, a.logmag + math.log(abs(x)))
+def _log_hyper_term(x: int, r: int, b: int, n: int) -> float:
+    """ln of C(r, x) C(b, n-x) / C(r+b, n), for 0 <= n <= r+b: three binomial
+    terms at p = n/(r+b), whose powers of p and 1-p cancel exactly."""
+    p = n / (r + b)
+    lb = _log_binom_term
+    return lb(x, r, p) + lb(n - x, b, p) - lb(n, r + b, p)

@@ -9,6 +9,7 @@ from urnwait import (
     BernoulliParams,
     Dist,
     DomainError,
+    ParameterError,
     UrnParams,
     approx_spec,
     convergence_sweep,
@@ -73,7 +74,27 @@ class TestGammaLimit:
         assert abs(total - 1.0) < 0.02
 
 
+    def test_large_shape_stays_finite(self):
+        # (c-1)! overflows a float from c = 172 on, and x^(c-1) at large x
+        assert gamma_approx_density(UrnParams(10**6, 10**5, 100), 10**5) == 0.0
+        params = UrnParams(10**5, 500, 200)  # x = y / 200, mean y = 40000
+        vals = [gamma_approx_density(params, y) for y in range(100_000)]
+        assert all(math.isfinite(v) for v in vals)
+        assert math.fsum(vals) == pytest.approx(1.0, abs=1e-6)
+
+    def test_value_at_zero_and_below(self):
+        assert gamma_approx_density(UrnParams(100, 10, 1), 0) == 0.1
+        assert gamma_approx_density(UrnParams(100, 10, 2), 0) == 0.0
+        assert gamma_approx_density(UrnParams(100, 10, 1), -1) == 0.0
+        assert gamma_approx_density(UrnParams(100, 10, 2), -1) == 0.0
+
+
 class TestHalfnormalLimit:
+    def test_rejects_bad_c(self):
+        for c in (0, -1, 2.0, True):
+            with pytest.raises(ParameterError):
+                halfnormal_approx_density(c, 1)
+
     def test_value_at_zero(self):
         assert halfnormal_approx_density(20, 0) == pytest.approx(0.12616, abs=5e-6)
         want = math.sqrt(2 / math.pi) / math.sqrt(40)

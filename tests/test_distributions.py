@@ -81,6 +81,16 @@ class TestParamValidation:
         with pytest.raises(ParameterError):
             pmf(Dist.NH, BernoulliParams(2, 0.5), 0)
 
+    @pytest.mark.parametrize("dist", list(Dist))
+    def test_pmf_rejects_non_integer_y(self, dist):
+        params = UrnParams(15, 6, 3) if dist in URN_DISTS else BernoulliParams(3, 0.4)
+        law_pmf = getattr(distributions, f"{dist.value}_pmf")
+        for y in (2.5, 2.0, True):
+            with pytest.raises(ParameterError):
+                pmf(dist, params, y)
+            with pytest.raises(ParameterError):
+                law_pmf(params, y)
+
     def test_exact_pmf_is_urn_only(self):
         with pytest.raises(ParameterError):
             exact_pmf(Dist.NB, UrnParams(10, 5, 2), 0)
@@ -212,6 +222,11 @@ class TestClosedFormCorners:
             assert support(Dist.MAXNH, params) == range(0, 1)
             assert exact_pmf(Dist.MAXNH, params, 0) == 1
 
+    def test_p0_shortcut_at_a_million(self):
+        params = UrnParams(10**6, 4 * 10**5, 50)
+        want = exact_pmf(Dist.MAXNH, params, 0)
+        assert abs(Fraction(maxnh_p0(params)) - want) <= want / 10**14
+
     def test_p0_shortcut_matches_pmf(self):
         for N, m, c in [(15, 6, 3), (30, 11, 4), (50, 25, 20), (41, 13, 9)]:
             params = UrnParams(N, m, c)
@@ -223,8 +238,9 @@ class TestClosedFormCorners:
 class TestDualMaxnhForms:
     def test_product_and_binomial_paths_agree(self):
         # Two algebraically equal expressions, entirely different float
-        # pipelines; they must track each other to full precision on
-        # every admissible parameter set up to N = 40.
+        # pipelines (hypergeometric terms against lgamma binomials); they
+        # must track each other to full precision on every admissible
+        # parameter set up to N = 40.
         for N, m, c in oracles.valid_triples(40):
             params = UrnParams(N, m, c)
             for y in support(Dist.MAXNH, params):
@@ -248,8 +264,9 @@ class TestSupportAndTables:
         assert t.truncation is None
 
     def test_table_matches_pointwise_pmf(self):
-        # The table is held to the exact rationals; the pointwise log-space
-        # path is the less accurate of the two, so they agree to rel 1e-13.
+        # Tables and pointwise values are each held to the exact rationals:
+        # the table rows within a few ulp, every pointwise value up to
+        # N = 40 within 1e-13 relative (its worst there is 8e-15).
         params = UrnParams(15, 6, 3)
         t = pmf_table(Dist.MAXNH, params)
         assert t.ys == list(range(7))
@@ -262,6 +279,8 @@ class TestSupportAndTables:
                 t = pmf_table(dist, params)
                 for y, p in zip(t.ys, t.probs):
                     q = pmf(dist, params, y)
+                    want = float(exact_pmf(dist, params, y))
+                    assert abs(q - want) <= 1e-13 * want, (dist, params, y)
                     assert abs(p - q) <= 1e-13 * q, (dist, params, y)
 
     def test_open_support_is_the_table_range(self):
@@ -280,6 +299,16 @@ class TestSupportAndTables:
         assert ref(c, p, last + 1) < ref(c, p, last)
         assert 1.0 - math.fsum(ref(c, p, y) for y in t.ys) < TAIL_EPS
 
+    @pytest.mark.parametrize("c, p", [(2000, 0.999), (5, 0.9999999)])
+    def test_high_p_nb_tables_are_short(self, c, p):
+        # nb walks only its 1-p term, so the row cap looks at 1-p alone
+        params = BernoulliParams(c, p)
+        t = pmf_table(Dist.NB, params)
+        assert support(Dist.NB, params) == range(len(t.ys))
+        assert math.fsum(t.probs) == pytest.approx(1.0, abs=1e-10)
+        for y in bulk_rows(t.probs):
+            assert t.probs[y] == pytest.approx(oracles.nb_ref(c, p, y), rel=1e-11), y
+
     def test_row_cap_raises_quickly(self):
         start = time.perf_counter()
         for dist in (Dist.NB, Dist.MAXNB):
@@ -291,21 +320,21 @@ class TestSupportAndTables:
         # Under __debug__, rows 0, the mode and the last row of every maxnh
         # table are held to the binomial form, evaluated from lgamma.
         params = UrnParams(250, 60, 10)
-        real = distributions._maxnh_pmf_lgamma
+        real = distributions._maxnh_pmf_binom
         seen = []
 
         def spy(params, y):
             seen.append(y)
             return real(params, y)
 
-        monkeypatch.setattr(distributions, "_maxnh_pmf_lgamma", spy)
+        monkeypatch.setattr(distributions, "_maxnh_pmf_binom", spy)
         t = pmf_table(Dist.MAXNH, params)
         assert sorted(seen) == sorted({0, t.probs.index(max(t.probs)), t.ys[-1]})
 
         def off(params, y):
             return real(params, y) * (1 + 1e-9)
 
-        monkeypatch.setattr(distributions, "_maxnh_pmf_lgamma", off)
+        monkeypatch.setattr(distributions, "_maxnh_pmf_binom", off)
         with pytest.raises(AssertionError):
             pmf_table(Dist.MAXNH, params)
 
@@ -313,22 +342,32 @@ class TestSupportAndTables:
         "triple", [(100_000, 50_000, 300), (200_000, 80_000, 100), (3000, 1200, 1)]
     )
     def test_maxnh_cross_check_reference_keeps_pointwise_slack(self, triple):
-        # The log-factorial table behind _maxnh_pmf_binom drifts 3.4e-9 off
-        # the exact pmf at (1e5, 5e4, 300), beyond the cross-check's
-        # slack; the lgamma reference stays within it, so accurate tables
-        # pass their cross-check.
+        # The lgamma reference stays within the cross-check's slack of the
+        # exact pmf, so accurate tables pass their cross-check; the
+        # cumulative log-factorial table would drift 3.4e-9 off at
+        # (1e5, 5e4, 300), beyond that slack.
         params = UrnParams(*triple)
         N = params.N
         slack = 1e-12 + 4 * math.ulp(1.0) * math.lgamma(N + 1)
         t = pmf_table(Dist.MAXNH, params)
         for y in bulk_rows(t.probs):
             want = exact_pmf(Dist.MAXNH, params, y)
-            got = Fraction(distributions._maxnh_pmf_lgamma(params, y))
+            got = Fraction(distributions._maxnh_pmf_binom(params, y))
             assert abs(got - want) <= slack * want, y
 
 
 class TestTableAccuracy:
-    """pmf_table against exact values at sizes the small-N suites never reach."""
+    """pmf_table and the pointwise pmfs against exact values at sizes the
+    small-N suites never reach."""
+
+    @pytest.mark.parametrize("dist", URN_DISTS)
+    @pytest.mark.parametrize("N", [10**3, 10**4, 10**5, 10**6])
+    def test_urn_pointwise_in_the_bulk(self, dist, N):
+        params = UrnParams(N, 2 * N // 5, 50)
+        t = pmf_table(dist, params)
+        for y in bulk_rows(t.probs):
+            want = exact_pmf(dist, params, y)
+            assert abs(Fraction(pmf(dist, params, y)) - want) <= want / 10**13, y
 
     @pytest.mark.parametrize(
         "dist, triple",
@@ -357,7 +396,9 @@ class TestTableAccuracy:
         ):
             t = pmf_table(dist, params)
             for y in bulk_rows(t.probs):
-                assert t.probs[y] == pytest.approx(ref(c, p, y), rel=1e-11), (dist, y)
+                want = ref(c, p, y)
+                assert t.probs[y] == pytest.approx(want, rel=1e-11), (dist, y)
+                assert pmf(dist, params, y) == pytest.approx(want, rel=1e-13), (dist, y)
 
 
 class TestCdfQuantileMean:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -9,26 +10,6 @@ from urnwait import kernel
 from urnwait.errors import DomainError
 
 import oracles
-
-
-class TestSignedLogValue:
-    @given(st.floats(min_value=-1e250, max_value=1e250, allow_nan=False))
-    def test_round_trip(self, x):
-        v = kernel.SignedLogValue.from_real(x)
-        if x == 0.0:
-            assert v.sign == 0
-        # exp() amplifies log-domain rounding by |log x|, so the
-        # achievable relative error grows with the exponent.
-        rel = 1e-15 * (2.0 + abs(v.logmag) if v.sign else 2.0)
-        assert v.to_real() == pytest.approx(x, rel=rel)
-
-    def test_overflow_maps_to_inf(self):
-        assert kernel.SignedLogValue(1, 1e6).to_real() == math.inf
-        assert kernel.SignedLogValue(-1, 1e6).to_real() == -math.inf
-
-    def test_zero_constant(self):
-        assert kernel.ZERO.to_real() == 0.0
-        assert kernel.ONE.to_real() == 1.0
 
 
 class TestLogFactorial:
@@ -51,57 +32,6 @@ class TestLogFactorial:
             kernel.log_factorial(-1)
 
 
-class TestFallingFactorial:
-    def test_k_zero_is_one(self):
-        assert kernel.falling_factorial(7.3, 0) is kernel.ONE
-
-    def test_negative_k_raises(self):
-        with pytest.raises(DomainError):
-            kernel.falling_factorial(3.0, -1)
-
-    def test_integer_short_range_is_zero(self):
-        # 0 <= z < k makes some factor exactly zero
-        assert kernel.falling_factorial(4, 7).sign == 0
-        assert kernel.falling_factorial(0, 1).sign == 0
-
-    def test_integer_fast_path_matches_exact(self):
-        for z in (1, 5, 12, 40, 200):
-            for k in range(0, z + 1):
-                got = kernel.falling_factorial(z, k)
-                want = kernel.falling_factorial_exact(z, k)
-                assert got.sign == 1
-                assert got.logmag == pytest.approx(math.log(want), rel=1e-13)
-
-    def test_frozen_real_value(self):
-        # 4.5 * 3.5 * ... * (4.5 - 9): negative with an odd count of
-        # negative factors
-        v = kernel.falling_factorial(4.5, 10).to_real()
-        assert v == pytest.approx(-872.0947265625, rel=1e-12)
-
-    @given(
-        st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
-        st.integers(min_value=0, max_value=12),
-    )
-    def test_real_z_matches_plain_product(self, z, k):
-        want = oracles.ff_float(z, k)
-        got = kernel.falling_factorial(z, k).to_real()
-        if want == 0.0:
-            assert got == 0.0
-        else:
-            assert got == pytest.approx(want, rel=1e-12)
-
-    def test_huge_product_does_not_overflow(self):
-        # 400 factors around 1e3: a plain float product overflows, the
-        # signed log path must not
-        v = kernel.falling_factorial(1000.5, 400)
-        assert v.sign == 1
-        assert math.isfinite(v.logmag)
-
-    def test_exact_is_big_integer(self):
-        assert kernel.falling_factorial_exact(30, 30) == math.factorial(30)
-        assert kernel.falling_factorial_exact(10, 3) == 720
-
-
 def _exact_product(z: float, start: int, k: int) -> Fraction:
     """(z - start)(z - start - 1)...(z - start - k + 1) at the float z, exact."""
     out = Fraction(1)
@@ -110,14 +40,23 @@ def _exact_product(z: float, start: int, k: int) -> Fraction:
     return out
 
 
-def _assert_matches(got: kernel.SignedLogValue, want: Fraction):
-    assert got.sign == (1 if want > 0 else -1)
+def _product(z: float, k: int) -> tuple[float, int]:
+    """z (z-1) ... (z-k+1) from _walk, as t * 2**e."""
+    ((t, e, _, _),) = kernel._walk(z, (k,))
+    return t, e
+
+
+def _assert_matches(got: tuple[float, int], want: Fraction):
+    t, e = got
+    assert (t > 0) == (want > 0)
     want_log = oracles.log_rational(abs(want))
-    assert got.logmag == pytest.approx(want_log, rel=1e-15, abs=1e-13)
+    assert math.log(abs(t)) + e * math.log(2.0) == pytest.approx(
+        want_log, rel=1e-15, abs=1e-13
+    )
 
 
 class TestWalk:
-    """The chunked product behind the real-z branch of falling_factorial.
+    """The chunked product behind the likelihood at real m.
 
     Terms below 2**x in magnitude are multiplied 1022 // x at a time, so the
     chunk size K at z = 1000.5 is 92 and at z = 2**52 - 1/2 it is 19, where
@@ -128,23 +67,46 @@ class TestWalk:
     def test_around_the_chunk_size(self, z, K):
         assert 1022 // math.frexp(abs(z) + 2 * K)[1] == K
         for k in (K - 1, K, K + 1, 2 * K):
-            _assert_matches(kernel.falling_factorial(z, k), _exact_product(z, 0, k))
+            _assert_matches(_product(z, k), _exact_product(z, 0, k))
 
     def test_negative_non_integer_z(self):
         for k in (1, 2, 7, 40, 301):
-            got = kernel.falling_factorial(-7.25, k)
-            assert got.sign == (-1) ** k
+            got = _product(-7.25, k)
+            assert (got[0] > 0) == (k % 2 == 0)
             _assert_matches(got, _exact_product(-7.25, 0, k))
 
     def test_negative_integer_z_past_the_float_range(self):
         # each term is about 1e300: one term a chunk
-        got = kernel.falling_factorial(-1e300, 3)
-        _assert_matches(got, _exact_product(-1e300, 0, 3))
+        _assert_matches(_product(-1e300, 3), _exact_product(-1e300, 0, 3))
 
     @pytest.mark.parametrize("z", [5e-324, 7 * 5e-324, 1.2345e-310])
     def test_subnormal_z(self, z):
         for k in (1, 2, 5, 30):
-            _assert_matches(kernel.falling_factorial(z, k), _exact_product(z, 0, k))
+            _assert_matches(_product(z, k), _exact_product(z, 0, k))
+
+    def test_frozen_real_value(self):
+        # 4.5 * 3.5 * ... * (4.5 - 9): negative with an odd count of
+        # negative factors
+        assert math.ldexp(*_product(4.5, 10)) == pytest.approx(
+            -872.0947265625, rel=1e-12
+        )
+
+    @given(
+        st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_real_z_matches_plain_product(self, z, k):
+        want = oracles.ff_float(z, k)
+        got = math.ldexp(*_product(z, k))
+        if want == 0.0:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_huge_product_does_not_overflow(self):
+        # 400 factors around 1e3: a plain float product overflows, the
+        # chunked walk must not
+        _assert_matches(_product(1000.5, 400), _exact_product(1000.5, 0, 400))
 
     def test_runs_are_consecutive_segments(self):
         z = 1300.37
@@ -152,8 +114,7 @@ class TestWalk:
         for (t, e, h1, h2), (start, k) in zip(runs, ((0, 30), (30, 200), (230, 0))):
             want = _exact_product(z, start, k)
             assert 0.5 <= abs(t) <= 1.0
-            value = kernel.SignedLogValue(1, math.log(abs(t)) + e * math.log(2.0))
-            _assert_matches(value, want)
+            _assert_matches((t, e), want)
             terms = [Fraction(z) - i for i in range(start, start + k)]
             assert h1 == pytest.approx(float(sum(1 / u for u in terms)), rel=1e-14)
             assert h2 == pytest.approx(float(sum(1 / u**2 for u in terms)), rel=1e-14)
@@ -166,54 +127,143 @@ class TestWalk:
             kernel._walk(5.0, (3, 4), moments=1)
 
 
-class TestLogBinomial:
-    def test_matches_comb(self):
-        for n in (0, 1, 7, 20, 60, 300):
-            for k in range(0, n + 1, max(1, n // 7)):
-                got = kernel.log_binomial(n, k)
-                assert got.sign == 1
-                assert got.logmag == pytest.approx(
-                    math.log(math.comb(n, k)), abs=1e-11, rel=1e-13
-                )
+def _pi() -> Decimal:
+    """pi to the current decimal precision (the decimal module's recipe)."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
 
-    def test_out_of_range_is_zero(self):
-        assert kernel.log_binomial(5, -1).sign == 0
-        assert kernel.log_binomial(5, 6).sign == 0
 
-
-class TestSignedArithmetic:
-    @given(
-        st.floats(min_value=-1e8, max_value=1e8, allow_nan=False),
-        st.floats(min_value=-1e8, max_value=1e8, allow_nan=False),
+def _stirlerr_ref(n: int) -> Decimal:
+    """ln(n!) - (n + 1/2) ln n + n - ln(2 pi)/2 at the current precision."""
+    return (
+        Decimal(math.factorial(n)).ln()
+        - (n + Decimal("0.5")) * Decimal(n).ln()
+        + n
+        - (2 * _pi()).ln() / 2
     )
-    @settings(max_examples=300)
-    def test_add_matches_float_sum(self, a, b):
-        got = kernel.signed_log_add(
-            kernel.SignedLogValue.from_real(a), kernel.SignedLogValue.from_real(b)
-        ).to_real()
-        want = a + b
-        # cancellation below the declared epsilon legitimately flushes to 0
-        scale = max(abs(a), abs(b), 1.0)
-        assert got == pytest.approx(want, abs=2e-13 * scale, rel=1e-12)
 
-    def test_total_cancellation_is_exact_zero(self):
-        x = kernel.SignedLogValue.from_real(3.7)
-        y = kernel.SignedLogValue.from_real(-3.7)
-        assert kernel.signed_log_add(x, y) is kernel.ZERO
 
-    def test_near_cancellation_flushes(self):
-        x = kernel.SignedLogValue.from_real(1.0)
-        y = kernel.SignedLogValue(-1, math.log1p(-1e-14))  # -(1 - 1e-14)
-        assert kernel.signed_log_add(x, y).sign == 0
+class TestStirlerr:
+    def test_table_is_the_rounded_50_digit_value(self):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = [0.0] + [float(_stirlerr_ref(n)) for n in range(1, 16)]
+        assert list(kernel._STIRLERR) == want
+        assert [kernel._stirlerr(n) for n in range(16)] == want
 
-    def test_mul_div_scale(self):
-        a = kernel.SignedLogValue.from_real(-6.0)
-        b = kernel.SignedLogValue.from_real(1.5)
-        assert kernel.signed_log_mul(a, b).to_real() == pytest.approx(-9.0)
-        assert kernel.signed_log_div(a, b).to_real() == pytest.approx(-4.0)
-        assert kernel.signed_log_scale(a, -2.0).to_real() == pytest.approx(12.0)
-        assert kernel.signed_log_scale(a, 0.0) is kernel.ZERO
+    def test_series_past_the_table(self):
+        # every branch of the series, at both ends
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for n in (16, 17, 35, 36, 80, 81, 500, 501, 2000):
+                err = Decimal(kernel._stirlerr(n)) - _stirlerr_ref(n)
+                assert abs(err) <= Decimal(2e-16), n
 
-    def test_div_by_zero_raises(self):
-        with pytest.raises(DomainError):
-            kernel.signed_log_div(kernel.ONE, kernel.ZERO)
+
+def _bd0_ref(x: int, mu: float) -> float:
+    with localcontext() as ctx:
+        ctx.prec = 50
+        m = Decimal(mu)
+        return float(x * (x / m).ln() + m - x)
+
+
+class TestBd0:
+    # |x - mu| = 0.1 (x + mu) at x = 11 mu / 9 and at x = 9 mu / 11
+    @pytest.mark.parametrize("mu", [9.0, 900.0, 900.3, 9e5, 1.1e8 / 9])
+    def test_both_sides_of_the_switch(self, mu):
+        for edge in (11 * mu / 9, 9 * mu / 11):
+            for x in (math.floor(edge) - 1, math.floor(edge), math.ceil(edge) + 1):
+                if x < 1:
+                    continue
+                want = _bd0_ref(x, mu)
+                assert kernel._bd0(x, mu) == pytest.approx(want, rel=4e-15), x
+
+    @pytest.mark.parametrize("x, mu", [(5, 5.0), (5, 5.000000001), (10**6, 10**6 - 0.5)])
+    def test_close_to_the_mean(self, x, mu):
+        assert kernel._bd0(x, mu) == pytest.approx(_bd0_ref(x, mu), rel=4e-15, abs=1e-300)
+
+    def test_far_from_the_mean(self):
+        for x, mu in ((1, 1e-300), (1, 700.0), (10**6, 1.0), (3, 1e12)):
+            assert kernel._bd0(x, mu) == pytest.approx(_bd0_ref(x, mu), rel=4e-15)
+
+
+def _ln(f: Fraction) -> Decimal:
+    """ln of a positive rational, in the current decimal context."""
+    return Decimal(f.numerator).ln() - Decimal(f.denominator).ln()
+
+
+def _log_binom_ref(x: int, n: int, p: float) -> float:
+    """ln C(n, x) p^x (1-p)^(n-x) at the float p, to 60 digits: exact but
+    for results within 1e-40 of 0."""
+    pf = Fraction(p)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(_ln(Fraction(math.comb(n, x))) + x * _ln(pf) + (n - x) * _ln(1 - pf))
+
+
+def _log_hyper_ref(x: int, r: int, b: int, n: int) -> float:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(
+            _ln(Fraction(math.comb(r, x) * math.comb(b, n - x), math.comb(r + b, n)))
+        )
+
+
+class TestBinomTerm:
+    @pytest.mark.parametrize(
+        "p", [1e-300, 0.05, 0.5, 0.95, math.nextafter(1.0, 0.0)]
+    )
+    def test_edges(self, p):
+        for n in (1, 2, 7, 1000):
+            for x in (0, n):
+                got = kernel._log_binom_term(x, n, p)
+                want = _log_binom_ref(x, n, p)
+                assert got == pytest.approx(want, rel=4e-16, abs=1e-40), (n, x)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1e-3, 0.95, 1 / 3])
+    def test_interior(self, p):
+        # p = 0.3 and 1/3 leave q = 1 - p rounded, which the term corrects
+        for n in (2, 16, 37, 1000, 10**5):
+            mean = n * p
+            sd = math.sqrt(n * p * (1 - p))
+            xs = {1, n - 1, n // 2} | {
+                round(mean + k * sd) for k in (-8, -3, -1, 0, 1, 3, 8)
+            }
+            for x in sorted(x for x in xs if 0 < x < n):
+                want = _log_binom_ref(x, n, p)
+                got = kernel._log_binom_term(x, n, p)
+                # a few ulp of the log, plus up to eps |x - np| from the
+                # rounding of np and nq
+                tol = 4e-15 + 1e-15 * abs(want) + 2.3e-16 * abs(x - mean)
+                assert abs(got - want) <= tol, (n, x)
+
+    def test_outside_and_degenerate(self):
+        assert kernel._log_binom_term(-1, 5, 0.5) == -math.inf
+        assert kernel._log_binom_term(6, 5, 0.5) == -math.inf
+        assert kernel._log_binom_term(0, 0, 0.5) == 0.0
+        assert kernel._log_binom_term(0, 5, 0.0) == 0.0
+        assert kernel._log_binom_term(1, 5, 0.0) == -math.inf
+        assert kernel._log_binom_term(5, 5, 1.0) == 0.0
+        assert kernel._log_binom_term(4, 5, 1.0) == -math.inf
+
+
+class TestHyperTerm:
+    @pytest.mark.parametrize(
+        "r, b", [(1, 1), (6, 9), (40, 25), (4000, 6000), (300, 29_700)]
+    )
+    def test_against_comb(self, r, b):
+        for n in sorted({0, 1, 2, r // 2, r, r + b - 1, r + b} & set(range(r + b + 1))):
+            lo, hi = max(0, n - b), min(r, n)
+            for x in sorted({lo, hi, (lo + hi) // 2, min(hi, lo + 1)}):
+                want = _log_hyper_ref(x, r, b, n)
+                got = kernel._log_hyper_term(x, r, b, n)
+                assert abs(got - want) <= 4e-15 + 1e-15 * abs(want), (n, x)
+            assert kernel._log_hyper_term(hi + 1, r, b, n) == -math.inf

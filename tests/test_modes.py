@@ -80,6 +80,10 @@ class TestHeadRatio:
         assert p0_p1_ratio(UrnParams(50, 25, 20)) == pytest.approx(21 / 20, rel=1e-10)
         assert p0_p1_ratio(UrnParams(10, 4, 1)) == pytest.approx(2.0, rel=1e-10)
 
+    def test_large_population(self):
+        ratio = p0_p1_ratio(UrnParams(10**6, 4 * 10**5, 50))
+        assert ratio == pytest.approx(51 / 50, rel=2e-14)
+
     def test_point_support_raises(self):
         with pytest.raises(DomainError):
             p0_p1_ratio(UrnParams(6, 3, 3))
