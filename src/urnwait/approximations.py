@@ -67,9 +67,12 @@ def gamma_approx_density(params: UrnParams, y: int) -> float:
 
 
 def halfnormal_approx_density(c: int, y: int) -> float:
-    """Half-normal density for the balanced urn: scale sqrt(2c), x = y/scale."""
+    """Half-normal density for the balanced urn: scale sqrt(2c), x = y/scale;
+    0 for y < 0, outside the support."""
     if not isinstance(c, int) or isinstance(c, bool) or c < 1:
         raise ParameterError(f"c must be an integer >= 1, got {c!r}")
+    if y < 0:
+        return 0.0
     scale = math.sqrt(2 * c)
     x = y / scale
     return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x) / scale

@@ -227,17 +227,17 @@ def exact_pmf(dist: Dist, params: UrnParams, y: int) -> Fraction:
     """Exact rational pmf for the urn distributions (big-integer path).
 
     Test-oracle companion of the float pmfs; only nh, minnh, and maxnh have
-    rational masses.
+    rational masses. y is checked as in pmf.
     """
     N, m, c = params.N, params.m, params.c
     if dist is Dist.NH:
-        if y < 0 or y > N - m:
+        if not _in_support(y, N - m):
             return Fraction(0)
         # C(N-c-y, m-c) / C(N, m), as falling factorials of length c+y
         num = math.comb(c + y - 1, c - 1) * math.perm(m, c) * math.perm(N - m, y)
         return Fraction(num, math.perm(N, c + y))
     if dist is Dist.MINNH:
-        if y < 0 or y > c - 1:
+        if not _in_support(y, c - 1):
             return Fraction(0)
         num = math.comb(c + y - 1, c - 1) * (
             math.comb(m, c) * math.comb(N - m, y)
@@ -245,7 +245,7 @@ def exact_pmf(dist: Dist, params: UrnParams, y: int) -> Fraction:
         )
         return Fraction(num, math.comb(c + y, c) * math.comb(N, c + y))
     if dist is Dist.MAXNH:
-        if y < 0 or y > max(m - c, N - m - c):
+        if not _in_support(y, max(m - c, N - m - c)):
             return Fraction(0)
         num = math.comb(2 * c + y - 1, c - 1) * (
             math.perm(m, c + y) * math.perm(N - m, c)

@@ -104,13 +104,19 @@ def loglik_grad(m: float, N: int, c: int, y: int) -> float:
     return A[2] - B[2] + wc * C[2] - wd * D[2]
 
 
-def loglik_hess(m: float, N: int, c: int, y: int) -> float:
-    """L'' from the same terms: (log P)'' = -sum 1/(z-i)^2 and
+def _grad_hess(m: float, N: int, c: int, y: int) -> tuple[float, float]:
+    """(L', L'') from one walk: (log P)'' = -sum 1/(z-i)^2 and
     P''/P = (P'/P)^2 + (log P)''."""
-    _check_nc(N, c, y)
     A, B, C, D, wc, wd, _, _ = _parts(m, N, c, y, 2)
     v = wc * C[2] - wd * D[2]
-    return wc * (C[2] ** 2 - C[3]) + wd * (D[2] ** 2 - D[3]) - v * v - A[3] - B[3]
+    h = wc * (C[2] ** 2 - C[3]) + wd * (D[2] ** 2 - D[3]) - v * v - A[3] - B[3]
+    return A[2] - B[2] + v, h
+
+
+def loglik_hess(m: float, N: int, c: int, y: int) -> float:
+    """L'', from the same terms as L' (see _grad_hess)."""
+    _check_nc(N, c, y)
+    return _grad_hess(m, N, c, y)[1]
 
 
 def phi(N: int, c: int, y: int) -> float:
@@ -163,40 +169,63 @@ def _golden_max(f, a: float, b: float, width: float) -> tuple[float, float]:
     return a, b
 
 
-def _gradient_root(g, a: float, b: float, lo: float, hi: float) -> float:
-    """Where g = L' falls through zero. [a, b] steps the way g points, by
-    doubling steps inside [lo, hi], until g(a) >= 0 >= g(b), then is bisected
-    on g to M_TOL/100. If L still rises at hi, or falls from lo, that end
-    is the maximizer."""
-    ga, gb = g(a), g(b)
+def _gradient_root(gh, a: float, b: float, lo: float, hi: float) -> float:
+    """Where g = L' falls through zero, for gh(m) = (L', L'').
+
+    [a, b] steps the way g points, by doubling steps inside [lo, hi], until
+    g(a) >= 0 >= g(b). If L still rises at hi, or falls from lo, that end
+    is the maximizer. Otherwise Newton's method finishes from the midpoint,
+    safeguarded by bisection (rtsafe, Numerical Recipes 9.4): a Newton step
+    that would leave the bracket, or fails to halve the step before last,
+    is replaced by a bisection. It stops at a step below M_TOL/100.
+    """
+    ga, gb = gh(a)[0], gh(b)[0]
     w = b - a
     while gb > 0.0 and b < hi:
         a, ga, b = b, gb, min(b + w, hi)
-        gb, w = g(b), 2.0 * w
+        gb, w = gh(b)[0], 2.0 * w
     while ga < 0.0 and a > lo:
         b, gb, a = a, ga, max(a - w, lo)
-        ga, w = g(a), 2.0 * w
+        ga, w = gh(a)[0], 2.0 * w
     if gb > 0.0:
-        a = b
-    elif ga < 0.0:
-        b = a
-    while b - a > M_TOL * 1e-2:
-        mid = 0.5 * (a + b)
-        if g(mid) > 0.0:
-            a = mid
+        return b
+    if ga < 0.0:
+        return a
+    x = 0.5 * (a + b)
+    step = last = b - a
+    while True:
+        g, h = gh(x)
+        if g < 0.0:
+            b = x
+        elif g > 0.0:
+            a = x
         else:
-            b = mid
-    return 0.5 * (a + b)
+            return x
+        # x - g/h lies strictly inside (a, b) iff the two factors differ in sign
+        outside = ((x - a) * h - g) * ((x - b) * h - g) >= 0.0
+        if outside or abs(2.0 * g) > abs(last * h):
+            last, step = step, 0.5 * (b - a)
+            x_new = a + step
+        else:
+            last, step = step, g / h
+            x_new = x - step
+        if x_new == x or abs(step) < M_TOL * 1e-2:
+            return x_new
+        x = x_new
 
 
 def mle(N: int, c: int, y: int) -> set[float]:
     """Maximum-likelihood estimates of m, always as the symmetric set.
 
-    If phi < 0 the likelihood peaks at N/2 and {N/2} is returned. Otherwise,
-    and when N/2 is a zero of the likelihood, golden-section search on
-    [N/2, N-c] brackets the maximum to 1e-6, the gradient locates it (see
-    _gradient_root), and {m_hat, N - m_hat} is returned. Where the gradient
-    is undefined, golden-section search finishes instead.
+    If phi < 0 the likelihood peaks at N/2 and {N/2} is returned. Otherwise
+    the maximizer m_hat is the root of L' on (N/2, N-c] found by
+    _gradient_root, and {m_hat, N - m_hat} is returned. For y <= N/2 - c
+    every factor of C = (m-c)^(y) exceeds the matching |factor| of
+    D = (N-m-c)^(y) for m > N/2, so L is defined on the whole range and the
+    search starts from [N/2, N-c]. For y > N/2 - c, and so whenever N/2 is
+    a zero of the likelihood, L can have several local maxima there:
+    golden-section search on L brackets one to 1e-6 first. Where the
+    gradient is undefined, golden-section search finishes instead.
     """
     if 2 * c + y > N:
         raise DomainError(f"y={y} is impossible for N={N}, c={c}")
@@ -211,9 +240,9 @@ def mle(N: int, c: int, y: int) -> set[float]:
             return -math.inf
 
     lo, hi = half, N - c - EDGE_CLIP
-    a, b = _golden_max(f, lo, hi, 1e-6)
+    a, b = (lo, hi) if y <= half - c else _golden_max(f, lo, hi, 1e-6)
     try:
-        m_hat = _gradient_root(lambda m: loglik_grad(m, N, c, y), a, b, lo, hi)
+        m_hat = _gradient_root(lambda m: _grad_hess(m, N, c, y), a, b, lo, hi)
     except DomainError:
         a, b = _golden_max(f, a, b, M_TOL * 1e-2)
         m_hat = 0.5 * (a + b)

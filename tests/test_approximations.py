@@ -100,6 +100,11 @@ class TestHalfnormalLimit:
         want = math.sqrt(2 / math.pi) / math.sqrt(40)
         assert halfnormal_approx_density(20, 0) == pytest.approx(want, rel=1e-12)
 
+    def test_zero_below_the_support(self):
+        # the density of |Z| has no mass below 0
+        assert halfnormal_approx_density(20, -3) == 0.0
+        assert halfnormal_approx_density(20, -1) == 0.0
+
     def test_decreasing(self):
         vals = [halfnormal_approx_density(20, y) for y in range(41)]
         assert all(a > b for a, b in zip(vals, vals[1:]))

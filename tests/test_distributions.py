@@ -91,6 +91,13 @@ class TestParamValidation:
             with pytest.raises(ParameterError):
                 law_pmf(params, y)
 
+    @pytest.mark.parametrize("dist", URN_DISTS)
+    def test_exact_pmf_rejects_non_integer_y(self, dist):
+        # as in pmf: no TypeError from math.comb, and True is not 1
+        for y in (2.5, 2.0, True):
+            with pytest.raises(ParameterError):
+                exact_pmf(dist, UrnParams(15, 6, 3), y)
+
     def test_exact_pmf_is_urn_only(self):
         with pytest.raises(ParameterError):
             exact_pmf(Dist.NB, UrnParams(10, 5, 2), 0)
@@ -135,6 +142,7 @@ class TestFloatMatchesExact:
         top = support(dist, params)[-1]
         assert pmf(dist, params, -1) == 0.0
         assert pmf(dist, params, top + 1) == 0.0
+        assert exact_pmf(dist, params, -1) == 0
         assert exact_pmf(dist, params, top + 1) == 0
 
 

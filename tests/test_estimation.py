@@ -22,6 +22,8 @@ from urnwait import (
     phi,
     profile,
 )
+from urnwait import estimation
+from urnwait.cli import _LIKELIHOOD_SHAPES
 from urnwait.estimation import _gradient_root
 
 # phi(20, 3, y) for y = 0..7, exact-rational evaluation rounded to 9 digits
@@ -275,14 +277,66 @@ class TestMleAgainstExactRoot:
 
     def test_bracket_steps_toward_the_root(self):
         # a root outside the starting bracket, either side
-        g = lambda m: 0.3 - m
+        gh = lambda m: (0.3 - m, -1.0)
         for a in (0.0, 0.9):
-            got = _gradient_root(g, a, a + 1e-6, 0.0, 1.0)
+            got = _gradient_root(gh, a, a + 1e-6, 0.0, 1.0)
             assert got == pytest.approx(0.3, abs=1e-10)
 
     def test_maximum_on_an_end(self):
-        assert _gradient_root(lambda m: 1.0, 0.2, 0.3, 0.0, 1.0) == 1.0
-        assert _gradient_root(lambda m: -1.0, 0.2, 0.3, 0.0, 1.0) == 0.0
+        assert _gradient_root(lambda m: (1.0, 0.0), 0.2, 0.3, 0.0, 1.0) == 1.0
+        assert _gradient_root(lambda m: (-1.0, 0.0), 0.2, 0.3, 0.0, 1.0) == 0.0
+
+    def test_bisection_guards_newton(self):
+        # from 5, Newton on -atan(m - 0.3) overshoots ever farther; bisection
+        # takes over until Newton converges
+        gh = lambda m: (-math.atan(m - 0.3), -1.0 / (1.0 + (m - 0.3) ** 2))
+        assert _gradient_root(gh, 0.0, 10.0, 0.0, 10.0) == pytest.approx(0.3, abs=1e-15)
+
+    def test_newton_finishes_to_rounding(self):
+        # L' of (28, 1, 2) vanishes at 14 + 2 sqrt 5: Newton's last step
+        # leaves the estimate within rounding of it, not within 1e-10
+        lo, hi = sorted(mle(28, 1, 2))
+        assert lo + hi == pytest.approx(28.0, abs=1e-12)
+        assert oracles.grad_exact(hi - 1e-12, 28, 1, 2) > 0
+        assert oracles.grad_exact(hi + 1e-12, 28, 1, 2) < 0
+
+    def test_terminates_where_an_ulp_exceeds_the_step_tolerance(self):
+        # m_hat > 2**20, where one ulp is above M_TOL/100: the search must
+        # stop once a step no longer moves m
+        N, c, y = 2_000_000, 10, 100
+        lo, hi = sorted(mle(N, c, y))
+        assert lo + hi == pytest.approx(N, abs=1e-9 * N)
+        assert oracles.grad_exact(hi - 1e-9, N, c, y) > 0
+        assert oracles.grad_exact(hi + 1e-9, N, c, y) < 0
+
+    def test_walks_per_estimate(self, monkeypatch):
+        # each walk is one _parts call; y <= N/2 - c on all these shapes
+        walks = 0
+        parts = estimation._parts
+
+        def counted(*args):
+            nonlocal walks
+            walks += 1
+            return parts(*args)
+
+        monkeypatch.setattr(estimation, "_parts", counted)
+        for N, total, cs in _LIKELIHOOD_SHAPES:
+            for c in cs:
+                walks = 0
+                mle(N, c, total - c)
+                assert walks <= 20, (N, c, total - c, walks)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="for y > N/2 - c the golden bracket can hold a lesser local maximum",
+    )
+    def test_global_maximum_when_y_exceeds_half_minus_c(self):
+        # mle(12, 1, 10) returns m = 6.66, where L = -10.96, while L
+        # reaches -2.49 near m = N - c
+        N, c, y = 12, 1, 10
+        hi = max(mle(N, c, y))
+        best = max(loglik_kernel(N - c - k * 1e-3, N, c, y) for k in range(1, 1000))
+        assert loglik_kernel(hi, N, c, y) >= best
 
 
 class TestProfile:
