@@ -4,71 +4,55 @@ Each of the C(N, m) placements of the first-color balls among the N draw
 positions is equally likely, so walking every placement and tallying the
 stopping time gives the exact distribution as a rational number. This is
 deliberately formula-free: it shares nothing with the closed-form pmfs it
-is used to validate.
+is used to validate. One walk serves every law and every c: it tallies the
+draws (a, b) at which the c-th ball of each color appears, and each
+stopping rule reads its wait off (a, b).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import chain, combinations, repeat
 
 from .distributions import Dist, UrnParams
 
-
-def _y_nh(seq: bytes, c: int) -> int:
-    succ = fail = 0
-    for ball in seq:
-        if ball:
-            succ += 1
-            if succ == c:
-                return fail
-        else:
-            fail += 1
-    raise AssertionError("c <= m guarantees the c-th success is reached")
+# nh waits for c of the first color, minnh for c of either, maxnh for both.
+_RULES = {
+    Dist.NH: lambda c, a, b: a - c,
+    Dist.MINNH: lambda c, a, b: min(a, b) - c,
+    Dist.MAXNH: lambda c, a, b: max(a, b) - 2 * c,
+}
 
 
-def _y_minnh(seq: bytes, c: int) -> int:
-    succ = fail = 0
-    for ball in seq:
-        if ball:
-            succ += 1
-        else:
-            fail += 1
-        if succ == c or fail == c:
-            return succ + fail - c
-    raise AssertionError("c <= min(m, N-m) guarantees one color reaches c")
+def enumerate_all(N: int, m: int) -> dict[tuple[Dist, int], dict[int, Fraction]]:
+    """Exact pmfs of nh, minnh and maxnh for every valid c, from one walk
+    over all C(N, m) orderings (enumerated literally: keep N small).
 
-
-def _y_maxnh(seq: bytes, c: int) -> int:
-    succ = fail = 0
-    for ball in seq:
-        if ball:
-            succ += 1
-        else:
-            fail += 1
-        if succ >= c and fail >= c:
-            return succ + fail - 2 * c
-    raise AssertionError("c <= min(m, N-m) guarantees both colors reach c")
-
-
-_WALK = {Dist.NH: _y_nh, Dist.MINNH: _y_minnh, Dist.MAXNH: _y_maxnh}
+    Returns {(dist, c): {y: probability}}, Fraction values summing to 1.
+    """
+    draws = range(1, N + 1)
+    cs = range(1, min(m, N - m) + 1)
+    # Complementing a subset reverses lexicographic order, so the second
+    # color's draws are the (N-m)-subsets taken in reverse.
+    seconds = reversed(list(combinations(draws, N - m)))
+    # (c, a, b) for each c and each placement, counted at C speed
+    triples = map(zip, repeat(cs), combinations(draws, m), seconds)
+    tally = Counter(chain.from_iterable(triples))
+    counts: dict[tuple[Dist, int], Counter[int]] = {
+        (dist, c): Counter() for dist in _RULES for c in cs
+    }
+    for (c, a, b), k in tally.items():
+        for dist, rule in _RULES.items():
+            counts[dist, c][rule(c, a, b)] += k
+    total = math.comb(N, m)
+    return {
+        key: {y: Fraction(k, total) for y, k in sorted(ys.items())}
+        for key, ys in counts.items()
+    }
 
 
 def enumerate_pmf(dist: Dist, params: UrnParams) -> dict[int, Fraction]:
-    """Exact pmf of an urn scheme by exhausting all C(N, m) orderings.
-
-    Intended for small N (the position subsets are enumerated literally).
-    Returns {y: probability} with Fraction values summing to exactly 1.
-    """
-    walk = _WALK[dist]
-    N, m, c = params.N, params.m, params.c
-    counts: dict[int, int] = {}
-    for positions in itertools.combinations(range(N), m):
-        seq = bytearray(N)
-        for i in positions:
-            seq[i] = 1
-        y = walk(bytes(seq), c)
-        counts[y] = counts.get(y, 0) + 1
-    total = math.comb(N, m)
-    return {y: Fraction(k, total) for y, k in sorted(counts.items())}
+    """Exact pmf of one urn scheme: the (dist, c) entry of enumerate_all."""
+    return enumerate_all(params.N, params.m)[dist, params.c]

@@ -1,7 +1,8 @@
 """Command-line front end: every capability as a CSV-emitting subcommand.
 
 All tabular output goes to standard output as UTF-8 CSV with a header row,
-reals rendered to 9 significant digits. Exit codes: 0 success, 1 self-check
+reals rendered to 9 significant digits. No field holds a comma, quote or
+newline, so each row is one f-string. Exit codes: 0 success, 1 self-check
 failure, 2 usage or parameter errors.
 """
 
@@ -14,18 +15,17 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable
 
 from . import _enumeration
 from .distributions import (
     URN_DISTS,
     BernoulliParams,
     Dist,
+    PmfTable,
     UrnParams,
-    cdf,
     exact_pmf,
-    maxnb_pmf,
-    maxnh_pmf,
     pmf,
     pmf_table,
     support,
@@ -52,17 +52,17 @@ _FIG_REGIMES = {
 }
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.9g}"
-    return str(v)
+# Rows per stdout write: memory stays bounded on long raw sample streams.
+_BLOCK = 4096
 
 
-def _emit(header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+def _emit(header: str, lines: Iterable[str]) -> None:
+    """Write the header and the lines, each ending in a newline, to stdout."""
+    write = sys.stdout.write
+    write(header + "\n")
+    lines = iter(lines)
+    while block := "".join(islice(lines, _BLOCK)):
+        write(block)
 
 
 def _need(args: argparse.Namespace, *names: str) -> None:
@@ -89,12 +89,11 @@ def cmd_pmf(args: argparse.Namespace) -> int:
     dist = Dist(args.dist)
     table = pmf_table(dist, _build_params(dist, args))
     if args.cdf:
-        _emit(
-            ("y", "pmf", "cdf"),
-            ((y, p, cdf(table, y)) for y, p in zip(table.ys, table.probs)),
-        )
+        # table._cum[y] is cdf(table, y) on every row of the table
+        rows = zip(table.ys, table.probs, table._cum)
+        _emit("y,pmf,cdf", (f"{y},{p:.9g},{s:.9g}\n" for y, p, s in rows))
     else:
-        _emit(("y", "pmf"), zip(table.ys, table.probs))
+        _emit("y,pmf", (f"{y},{p:.9g}\n" for y, p in zip(table.ys, table.probs)))
     return 0
 
 
@@ -105,12 +104,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
     config = SimConfig(seed=args.seed, trials=args.trials)
     if args.empirical_pmf:
         table = empirical_pmf(scheme, params, config)
-        _emit(("y", "freq"), zip(table.ys, table.probs))
+        _emit("y,freq", (f"{y},{p:.9g}\n" for y, p in zip(table.ys, table.probs)))
         return 0
     _emit(
-        ("y", "terminal_color", "count1", "count2"),
+        "y,terminal_color,count1,count2",
         (
-            (out.y, out.terminal_color.value, *out.counts)
+            f"{out.y},{out.terminal_color.value},{out.counts[0]},{out.counts[1]}\n"
             for out in iter_outcomes(scheme, params, config)
         ),
     )
@@ -122,15 +121,10 @@ def cmd_modes(args: argparse.Namespace) -> int:
     if args.m is not None:
         params = UrnParams(args.N, args.m, args.c)
         report = local_modes(pmf_table(Dist.MAXNH, params))
+        modes = ";".join(map(str, report.modes))
         _emit(
-            ("modes", "is_unimodal", "p0_over_p1"),
-            [
-                (
-                    ";".join(str(y) for y in report.modes),
-                    report.is_unimodal,
-                    report.p0_over_p1,
-                )
-            ],
+            "modes,is_unimodal,p0_over_p1",
+            [f"{modes},{report.is_unimodal},{report.p0_over_p1:.9g}\n"],
         )
         return 0
     intervals = unimodal_m_range(args.N, args.c)
@@ -140,7 +134,7 @@ def cmd_modes(args: argparse.Namespace) -> int:
             "no intervals to report",
             file=sys.stderr,
         )
-    _emit(("m_lo", "m_hi"), intervals)
+    _emit("m_lo,m_hi", (f"{lo},{hi}\n" for lo, hi in intervals))
     return 0
 
 
@@ -159,22 +153,17 @@ def cmd_mle(args: argparse.Namespace) -> int:
     _need(args, "N", "c", "y")
     N, c, y = args.N, args.c, args.y
     report = classify_critical_point(N, c, y)
-    estimates = sorted(mle(N, c, y))
-    summary = (
-        ";".join(_fmt(float(e)) for e in estimates),
-        report.phi_value,
-        report.classification.value,
-    )
+    m_hat = ";".join(f"{float(e):.9g}" for e in sorted(mle(N, c, y)))
+    phi, kind = report.phi_value, report.classification.value
     if args.profile is not None:
         prof = profile(N, c, y, _parse_grid(args.profile))
-        _emit(("m", "loglik"), zip(prof.grid, prof.values))
+        rows = zip(prof.grid, prof.values)
+        _emit("m,loglik", (f"{m:.9g},{v:.9g}\n" for m, v in rows))
         print(
-            f"maximizers={summary[0]} phi={_fmt(summary[1])} "
-            f"classification={summary[2]}",
-            file=sys.stderr,
+            f"maximizers={m_hat} phi={phi:.9g} classification={kind}", file=sys.stderr
         )
         return 0
-    _emit(("m_hat", "phi", "classification"), [summary])
+    _emit("m_hat,phi,classification", [f"{m_hat},{phi:.9g},{kind}\n"])
     return 0
 
 
@@ -201,7 +190,11 @@ def _load_golden(which: int) -> list[tuple[str, str, float]]:
 
 
 def _figure_rows(which: int) -> list[tuple[str, str, float]]:
-    """Recompute every (label, x) point of a figure from first principles."""
+    """Recompute every (label, x) point of a figure from first principles.
+
+    Figures 1-5 read one pmf table per trace; a point past a truncated
+    table's last row takes the pointwise value.
+    """
     golden = _load_golden(which)
     if which == 6:
         return [
@@ -209,14 +202,18 @@ def _figure_rows(which: int) -> list[tuple[str, str, float]]:
             for label, x, _ in golden
         ]
     c, num, den = _FIG_REGIMES[which]
+    tables: dict[str, PmfTable] = {}
     out = []
     for label, x, _ in golden:
-        y = int(x)
-        if label == "maxnb":
-            value = maxnb_pmf(BernoulliParams(c, num / den), y)
-        else:
-            N = int(label[2:])
-            value = maxnh_pmf(UrnParams(N, N * num // den, c), y)
+        if label not in tables:
+            if label == "maxnb":
+                dist, params = Dist.MAXNB, BernoulliParams(c, num / den)
+            else:
+                N = int(label[2:])
+                dist, params = Dist.MAXNH, UrnParams(N, N * num // den, c)
+            tables[label] = pmf_table(dist, params)
+        t, y = tables[label], int(x)
+        value = t.probs[y] if y < len(t.probs) else pmf(t.dist, t.params, y)
         out.append((label, x, value))
     return out
 
@@ -225,7 +222,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
     _need(args, "which")
     if args.which not in range(1, 7):
         raise ParameterError(f"--which must be 1..6, got {args.which}")
-    _emit(("label", "x", "value"), _figure_rows(args.which))
+    rows = _figure_rows(args.which)
+    _emit("label,x,value", (f"{label},{x},{v:.9g}\n" for label, x, v in rows))
     return 0
 
 
@@ -245,17 +243,19 @@ def _check_figures() -> list[tuple[str, float, float, bool]]:
 def _check_enumeration() -> tuple[str, float, float, bool]:
     """Closed forms vs brute-force enumeration for every N <= 12.
 
-    The rational path must match the enumeration exactly; the reported
-    deviation is the float path's worst distance from the rationals.
+    One enumeration walk per urn (N, m) gives the exact pmf of every law
+    and c. The rational path must match it exactly; the reported deviation
+    is the pointwise float path's worst distance from the rationals.
     """
     ok = True
     float_dev = 0.0
     for N in range(2, 13):
         for m in range(1, N):
+            refs = _enumeration.enumerate_all(N, m)
             for c in range(1, min(m, N - m) + 1):
                 params = UrnParams(N, m, c)
                 for dist in URN_DISTS:
-                    ref = _enumeration.enumerate_pmf(dist, params)
+                    ref = refs[dist, c]
                     if sum(ref.values()) != 1:
                         ok = False
                     for y in support(dist, params):
@@ -324,11 +324,11 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     suites.append(_check_enumeration())
     suites.append(_check_likelihood())
     _emit(
-        ("suite", "max_deviation", "tolerance", "status"),
-        [
-            (name, dev, tol, "PASS" if good else "FAIL")
+        "suite,max_deviation,tolerance,status",
+        (
+            f"{name},{dev:.9g},{tol:.9g},{'PASS' if good else 'FAIL'}\n"
             for name, dev, tol, good in suites
-        ],
+        ),
     )
     return 0 if all(good for _, _, _, good in suites) else 1
 

@@ -386,14 +386,23 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> list[flo
         c, p = params.c, params.p
         pn, pd = p.as_integer_ratio()
         w = [0.0] * (c + 1)
-        e = _exponent(_log_comb(2 * c - 1, c - 1) + c * math.log(p * (1.0 - p)))
+        log_pq = c * math.log(p * (1.0 - p))
         for fn in (pd - pn, pn):
+            # At subnormal f a ratio into row k-1 can pass 2**1023, so this
+            # term's row k is below 2**-1023; it walks from the top row whose
+            # ratio fits, at C(c+top-1, c-1) f^top (1-f)^c. The other term is
+            # at most f/(1-f) times this one, so it need not share this scale.
+            top = c
+            while top and top * pd >= (c + top - 1) * fn << 1023:
+                top -= 1
+            log_f = math.log(fn / pd)
+            log_anchor = _log_comb(c + top - 1, c - 1) + log_pq - (c - top) * log_f
             ratios = map(
                 truediv,
-                map(mul, range(c, 0, -1), repeat(pd)),
-                map(mul, range(2 * c - 1, c - 1, -1), repeat(fn)),
+                map(mul, range(top, 0, -1), repeat(pd)),
+                map(mul, range(c + top - 1, c - 1, -1), repeat(fn)),
             )
-            _add_term(w, range(c, -1, -1), 1.0, e, ratios)
+            _add_term(w, range(top, -1, -1), 1.0, _exponent(log_anchor), ratios)
         w.pop()  # the anchor row y = c
         return w
     N, m, c = params.N, params.m, params.c
@@ -565,4 +574,4 @@ def quantile(table: PmfTable, u: float) -> int:
 
 def mean(table: PmfTable) -> float:
     """Sum of y * p(y) over the table."""
-    return math.fsum(y * p for y, p in zip(table.ys, table.probs))
+    return math.fsum(map(mul, table.ys, table.probs))

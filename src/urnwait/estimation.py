@@ -153,11 +153,14 @@ def classify_critical_point(N: int, c: int, y: int) -> CriticalPointReport:
 
 
 def _golden_max(f, a: float, b: float, width: float) -> tuple[float, float]:
-    """Golden-section bracket shrink for a maximum of f on [a, b]."""
+    """Golden-section bracket shrink for a maximum of f on [a, b], to width
+    or until rounding stops it shrinking (a width below one ulp of m)."""
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > width:
+    last = math.inf
+    while width < b - a < last:
+        last = b - a
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)

@@ -73,20 +73,21 @@ def _is_degenerate(N: int, m: int, c: int) -> bool:
 def unimodal_m_range(N: int, c: int) -> list[tuple[int, int]]:
     """All m whose distribution is unimodal, as maximal intervals (lo, hi).
 
-    m runs over the valid band c..N-c; the degenerate point mass at
-    m = c = N/2 is excluded from the scan. Raises when no valid m exists.
+    m runs over the valid band c..N-c, less the degenerate point mass at
+    m = c = N/2. The tables of m and N-m are bit-identical (distributions.
+    _log_comb), so m <= N/2 is scanned and each verdict holds for N-m too.
+    Raises when no valid m exists.
     """
     if not (isinstance(N, int) and isinstance(c, int)) or c < 1 or c > N - c:
         raise ParameterError(f"no valid m for N={N}, c={c}")
-    good = []
-    for m in range(c, N - c + 1):
-        if _is_degenerate(N, m, c):
-            continue
-        report = local_modes(pmf_table(Dist.MAXNH, UrnParams(N, m, c)))
-        if report.is_unimodal:
-            good.append(m)
+    half = [
+        m
+        for m in range(c, N // 2 + 1)
+        if not _is_degenerate(N, m, c)
+        and local_modes(pmf_table(Dist.MAXNH, UrnParams(N, m, c))).is_unimodal
+    ]
     intervals: list[tuple[int, int]] = []
-    for m in good:
+    for m in sorted({*half, *(N - m for m in half)}):
         if intervals and m == intervals[-1][1] + 1:
             intervals[-1] = (intervals[-1][0], m)
         else:

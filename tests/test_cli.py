@@ -3,14 +3,15 @@ rendering, exit codes, and the self-check's sensitivity to perturbations.
 """
 
 import csv
+import dataclasses
 import io
 import math
 import time
 
 import pytest
 
-from urnwait import BernoulliParams, Dist, cdf, cli, pmf_table
-from urnwait.distributions import maxnh_pmf
+from urnwait import BernoulliParams, Dist, UrnParams, cdf, cli, pmf, pmf_table
+from urnwait.distributions import maxnb_pmf, maxnh_pmf
 
 
 def run(argv, capsys):
@@ -68,6 +69,12 @@ class TestPmf:
         code, _, err = run(["pmf", "nb", "--c", "5000", "--p", "1e-7"], capsys)
         assert code == 2
         assert "1000000 rows" in err
+
+    def test_minnb_at_subnormal_p(self, capsys):
+        code, out, _ = run(["pmf", "minnb", "--c", "2", "--p", "5e-324"], capsys)
+        assert code == 0
+        _, data = rows(out)
+        assert data == [["0", "1"], ["1", "0"]]
 
     def test_bernoulli_family_needs_no_population(self, capsys):
         code, out, _ = run(["pmf", "nb", "--c", "2", "--p", "0.5"], capsys)
@@ -253,6 +260,19 @@ class TestFigure:
         # the N=15 trace at y=0 is the (15, 6, 3) head probability
         assert by_key[("N=15", "0")] == pytest.approx(48 / 143, rel=1e-9)
 
+    @pytest.mark.parametrize("which", [1, 2, 3, 4, 5])
+    def test_table_rows_print_as_the_pointwise_values(self, which):
+        c, num, den = cli._FIG_REGIMES[which]
+        golden = cli._load_golden(which)
+        computed = cli._figure_rows(which)
+        for (label, x, _), (_, _, value) in zip(golden, computed):
+            if label == "maxnb":
+                want = maxnb_pmf(BernoulliParams(c, num / den), int(x))
+            else:
+                N = int(label[2:])
+                want = maxnh_pmf(UrnParams(N, N * num // den, c), int(x))
+            assert f"{value:.9g}" == f"{want:.9g}", (label, x)
+
     def test_out_of_range_exit_2(self, capsys):
         code, _, err = run(["figure", "--which", "7"], capsys)
         assert code == 2
@@ -283,13 +303,28 @@ class TestSelfcheck:
             assert [r[3] for r in data if r[0] == "likelihood N<=61"] == ["FAIL"]
 
     def test_detects_pmf_perturbation(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            cli, "maxnh_pmf", lambda params, y: maxnh_pmf(params, y) + 1e-3
-        )
+        # figures 1-5 read pmf tables
+        def perturbed(dist, params):
+            table = pmf_table(dist, params)
+            return dataclasses.replace(table, probs=[p + 1e-3 for p in table.probs])
+
+        monkeypatch.setattr(cli, "pmf_table", perturbed)
         code, out, _ = run(["selfcheck"], capsys)
         assert code == 1
         _, data = rows(out)
         assert any(r[3] == "FAIL" for r in data)
+        failed = [r[0] for r in data if r[3] == "FAIL"]
+        assert failed == [f"figure {k}" for k in range(1, 6)]
+
+    def test_detects_pointwise_pmf_perturbation(self, capsys, monkeypatch):
+        # the enumeration suite reads the pointwise pmf
+        monkeypatch.setattr(
+            cli, "pmf", lambda dist, params, y: pmf(dist, params, y) * (1 + 1e-10)
+        )
+        code, out, _ = run(["selfcheck"], capsys)
+        assert code == 1
+        _, data = rows(out)
+        assert [r[0] for r in data if r[3] == "FAIL"] == ["enumeration N<=12"]
 
     def test_detects_likelihood_perturbation(self, capsys, monkeypatch):
         real = cli.loglik_kernel

@@ -5,6 +5,7 @@ every equally likely draw order, against independently coded closed forms,
 and against their own exact-rational twins.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -29,7 +30,7 @@ from urnwait import (
     support,
 )
 from urnwait import distributions
-from urnwait._enumeration import enumerate_pmf
+from urnwait._enumeration import enumerate_all, enumerate_pmf
 from urnwait.distributions import TAIL_EPS, _maxnh_pmf_binom
 
 URN_DISTS = (Dist.NH, Dist.MINNH, Dist.MAXNH)
@@ -101,6 +102,47 @@ class TestParamValidation:
     def test_exact_pmf_is_urn_only(self):
         with pytest.raises(ParameterError):
             exact_pmf(Dist.NB, UrnParams(10, 5, 2), 0)
+
+
+def _walk_stop(dist, seq, c):
+    """Draws beyond the stopping point of one draw order, ball by ball."""
+    succ = fail = 0
+    for ball in seq:
+        succ += ball
+        fail += 1 - ball
+        if dist is Dist.NH and succ == c:
+            return fail
+        if dist is Dist.MINNH and (succ == c or fail == c):
+            return succ + fail - c
+        if dist is Dist.MAXNH and succ >= c and fail >= c:
+            return succ + fail - 2 * c
+    raise AssertionError("c <= min(m, N-m) guarantees the rule stops")
+
+
+class TestEnumerationWalk:
+    def test_one_walk_equals_a_walk_per_placement(self):
+        # enumerate_all reads every law and c from one tally of the draws at
+        # which each color's c-th ball appears; this walks each draw order
+        for N in range(2, 10):
+            for m in range(1, N):
+                got = enumerate_all(N, m)
+                cs = range(1, min(m, N - m) + 1)
+                assert set(got) == {(d, c) for d in URN_DISTS for c in cs}
+                for (dist, c), pmf_ in got.items():
+                    counts = {}
+                    for positions in itertools.combinations(range(N), m):
+                        seq = [1 if i in positions else 0 for i in range(N)]
+                        y = _walk_stop(dist, seq, c)
+                        counts[y] = counts.get(y, 0) + 1
+                    total = math.comb(N, m)
+                    want = {y: Fraction(k, total) for y, k in sorted(counts.items())}
+                    assert pmf_ == want, (dist, N, m, c)
+                    assert list(pmf_) == list(want)
+
+    def test_pmf_is_the_view_of_its_c(self):
+        params = UrnParams(9, 4, 2)
+        for dist in URN_DISTS:
+            assert enumerate_pmf(dist, params) == enumerate_all(9, 4)[dist, 2]
 
 
 class TestExactMatchesEnumeration:
@@ -205,6 +247,18 @@ class TestSymmetry:
         # The table's two terms trade places, and float addition commutes.
         flipped = UrnParams(params.N, params.N - params.m, params.c)
         assert pmf_table(dist, params).probs == pmf_table(dist, flipped).probs
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_maxnh_m_flip_bit_identical_to_large_n(self, parity, data):
+        # unimodal_m_range scans m <= N/2 only, on the strength of this
+        N = 2 * data.draw(st.integers(min_value=1, max_value=4999)) + parity
+        m = data.draw(st.integers(min_value=1, max_value=N - 1))
+        c = data.draw(st.integers(min_value=1, max_value=min(m, N - m)))
+        a = pmf_table(Dist.MAXNH, UrnParams(N, m, c)).probs
+        b = pmf_table(Dist.MAXNH, UrnParams(N, N - m, c)).probs
+        assert [x.hex() for x in a] == [x.hex() for x in b]
 
 
 class TestClosedFormCorners:
@@ -407,6 +461,20 @@ class TestTableAccuracy:
                 want = ref(c, p, y)
                 assert t.probs[y] == pytest.approx(want, rel=1e-11), (dist, y)
                 assert pmf(dist, params, y) == pytest.approx(want, rel=1e-13), (dist, y)
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-309, 3e-309, 2.2e-308])
+    @pytest.mark.parametrize("c", [1, 2, 5, 40])
+    def test_minnb_table_at_subnormal_p(self, c, p):
+        # the ratio 1/p of the p^y q^c term passes the float range below
+        # about 5.6e-309; rows under 2**-1022 are not held to a relative bound
+        t = pmf_table(Dist.MINNB, BernoulliParams(c, p))
+        assert t.ys == list(range(c))
+        for y, got in zip(t.ys, t.probs):
+            want = oracles.minnb_ref(c, p, y)
+            if want > 2.0**-1022:
+                assert got == pytest.approx(want, rel=1e-12), y
+            else:
+                assert got <= 2.0**-1022, y
 
 
 class TestCdfQuantileMean:

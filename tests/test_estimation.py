@@ -5,6 +5,7 @@ roots from an exact-rational solver.
 
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -308,6 +309,24 @@ class TestMleAgainstExactRoot:
         assert lo + hi == pytest.approx(N, abs=1e-9 * N)
         assert oracles.grad_exact(hi - 1e-9, N, c, y) > 0
         assert oracles.grad_exact(hi + 1e-9, N, c, y) < 0
+
+    def test_golden_section_ends_below_an_ulp(self):
+        # a width of 1e-10, as mle's DomainError fallback asks for, is below
+        # one ulp at m = 2e6: the search must stop once it can shrink no more
+        def timeout(signum, frame):
+            raise TimeoutError("_golden_max did not return within 2 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            a, b = estimation._golden_max(
+                lambda m: -(m - 2e6) ** 2, 2e6 - 1, 2e6 + 1, 1e-10
+            )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert a <= 2e6 <= b
+        assert b - a <= 4 * math.ulp(2e6)
 
     def test_walks_per_estimate(self, monkeypatch):
         # each walk is one _parts call; y <= N/2 - c on all these shapes

@@ -139,6 +139,22 @@ class TestUnimodalRange:
                 report = local_modes(_maxnh_table(N, N // 2, c))
                 assert report.is_unimodal, (N, c)
 
+    @pytest.mark.parametrize("N,c", [(50, 5), (100, 5), (250, 10), (51, 4)])
+    def test_half_band_scan_equals_the_full_band(self, N, c):
+        good = [
+            m
+            for m in range(c, N - c + 1)
+            if not (N == 2 * c and m == c)
+            and local_modes(_maxnh_table(N, m, c)).is_unimodal
+        ]
+        intervals = []
+        for m in good:
+            if intervals and m == intervals[-1][1] + 1:
+                intervals[-1] = (intervals[-1][0], m)
+            else:
+                intervals.append((m, m))
+        assert unimodal_m_range(N, c) == intervals
+
     def test_rejects_impossible_shapes(self):
         with pytest.raises(ParameterError):
             unimodal_m_range(10, 6)
