@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 
-from .distributions import Dist, UrnParams
+from .distributions import Dist
 
 # nh waits for c of the first color, minnh for c of either, maxnh for both.
 _RULES = {
@@ -51,8 +51,3 @@ def enumerate_all(N: int, m: int) -> dict[tuple[Dist, int], dict[int, Fraction]]
         key: {y: Fraction(k, total) for y, k in sorted(ys.items())}
         for key, ys in counts.items()
     }
-
-
-def enumerate_pmf(dist: Dist, params: UrnParams) -> dict[int, Fraction]:
-    """Exact pmf of one urn scheme: the (dist, c) entry of enumerate_all."""
-    return enumerate_all(params.N, params.m)[dist, params.c]

@@ -177,12 +177,18 @@ def central_diff(f, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def valid_triples(n_max: int):
-    """Every valid (N, m, c) with N <= n_max."""
+def valid_urns(n_max: int):
+    """Every urn (N, m) with 1 <= m < N <= n_max."""
     for N in range(2, n_max + 1):
         for m in range(1, N):
-            for c in range(1, min(m, N - m) + 1):
-                yield N, m, c
+            yield N, m
+
+
+def valid_triples(n_max: int):
+    """Every valid (N, m, c) with N <= n_max."""
+    for N, m in valid_urns(n_max):
+        for c in range(1, min(m, N - m) + 1):
+            yield N, m, c
 
 
 def load_golden(which: int) -> list[tuple[str, str, float]]:

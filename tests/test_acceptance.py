@@ -46,7 +46,7 @@ from urnwait import (
     tv_distance,
     unimodal_m_range,
 )
-from urnwait._enumeration import enumerate_pmf
+from urnwait._enumeration import enumerate_all
 
 # (c, m_numerator, m_denominator) regime behind each pmf figure
 FIG_REGIMES = {
@@ -138,10 +138,10 @@ def test_criterion_03_unimodal_table_reproduction():
 def test_criterion_04_enumeration_oracle_equivalence():
     """Urn pmfs equal brute-force enumeration in exact rational arithmetic."""
     start = time.perf_counter()
-    for N, m, c in oracles.valid_triples(12):
-        params = UrnParams(N, m, c)
-        for dist in (Dist.MAXNH, Dist.MINNH, Dist.NH):
-            ref = enumerate_pmf(dist, params)
+    for N, m in oracles.valid_urns(12):
+        # one walk per urn gives maxnh, minnh and nh for every c
+        for (dist, c), ref in enumerate_all(N, m).items():
+            params = UrnParams(N, m, c)
             assert sum(ref.values()) == 1
             for y in support(dist, params):
                 assert exact_pmf(dist, params, y) == ref.get(y, Fraction(0))

@@ -218,11 +218,19 @@ class TestMle:
         assert float(phi_s) > 0
 
     def test_zero_of_the_likelihood_at_half(self, capsys):
-        # N/2 = 10 is a zero of L for (20, 8, 3); the maxima are off it
-        code, out, _ = run(["mle", "--N", "20", "--c", "8", "--y", "3"], capsys)
-        assert code == 0
-        _, data = rows(out)
-        assert data == [["8.35573651;11.6442635", "nan", "zero_at_half"]]
+        # c + y - 1 >= N/2: L vanishes at N/2 for even N (phi has a pole
+        # there) and at N/2 +- 1/2 for odd N. The maxima lie on
+        # (c + y - 1, N - c]; for (12, 1, 10) and (7, 1, 5) L still rises at
+        # the search's upper end, N - c - 1e-6.
+        want = {
+            (20, 8, 3): "8.35573651;11.6442635,nan,zero_at_half",
+            (12, 1, 10): "1.000001;10.999999,nan,zero_at_half",
+            (7, 1, 5): "1.000001;5.999999,-4.5260771,zero_at_half",
+        }
+        for (N, c, y), line in want.items():
+            code, out, _ = run(["mle", "--N", str(N), "--c", str(c), "--y", str(y)], capsys)
+            assert code == 0
+            assert out.splitlines()[1:] == [line], (N, c, y)
 
     def test_profile_grid(self, capsys):
         code, out, err = run(

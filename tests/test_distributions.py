@@ -30,7 +30,7 @@ from urnwait import (
     support,
 )
 from urnwait import distributions
-from urnwait._enumeration import enumerate_all, enumerate_pmf
+from urnwait._enumeration import enumerate_all
 from urnwait.distributions import TAIL_EPS, _maxnh_pmf_binom
 
 URN_DISTS = (Dist.NH, Dist.MINNH, Dist.MAXNH)
@@ -139,23 +139,20 @@ class TestEnumerationWalk:
                     assert pmf_ == want, (dist, N, m, c)
                     assert list(pmf_) == list(want)
 
-    def test_pmf_is_the_view_of_its_c(self):
-        params = UrnParams(9, 4, 2)
-        for dist in URN_DISTS:
-            assert enumerate_pmf(dist, params) == enumerate_all(9, 4)[dist, 2]
-
 
 class TestExactMatchesEnumeration:
     """exact_pmf must agree with counting draw orders, ratio for ratio."""
 
     @pytest.mark.parametrize("dist", URN_DISTS)
     def test_small_populations(self, dist):
-        for N, m, c in oracles.valid_triples(9):
-            params = UrnParams(N, m, c)
-            ref = enumerate_pmf(dist, params)
-            assert sum(ref.values()) == 1
-            for y in support(dist, params):
-                assert exact_pmf(dist, params, y) == ref.get(y, Fraction(0))
+        for N, m in oracles.valid_urns(9):
+            refs = enumerate_all(N, m)
+            for c in range(1, min(m, N - m) + 1):
+                params = UrnParams(N, m, c)
+                ref = refs[dist, c]
+                assert sum(ref.values()) == 1
+                for y in support(dist, params):
+                    assert exact_pmf(dist, params, y) == ref.get(y, Fraction(0))
 
 
 class TestExactMatchesClosedForms:
@@ -547,7 +544,7 @@ class TestCdfQuantileMean:
 
     def test_nh_mean_matches_enumeration(self):
         params = UrnParams(9, 4, 2)
-        ref = enumerate_pmf(Dist.NH, params)
+        ref = enumerate_all(9, 4)[Dist.NH, 2]
         want = float(sum(Fraction(y) * p for y, p in ref.items()))
         assert mean(pmf_table(Dist.NH, params)) == pytest.approx(want, abs=1e-12)
 

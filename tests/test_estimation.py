@@ -5,7 +5,6 @@ roots from an exact-rational solver.
 
 import math
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -114,6 +113,32 @@ class TestKernelValues:
         with pytest.raises(ParameterError):
             loglik_kernel(10.0, 20, 3, -1)
 
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (phi, (20, 3, 2.5)),
+            (loglik_kernel, (10.0, 20, 3, 2.5)),
+            (loglik_kernel, (10.5, 20, True, 2)),
+            (mle, (20, 3, 2.5)),
+            (mle, (20.0, 3, 5)),
+            (profile, (20, 3, 2.5, (3.0, 17.0, 0.25))),
+            (classify_critical_point, (20, 3.0, 5)),
+        ],
+        ids=[
+            "phi-y",
+            "loglik_kernel-y",
+            "loglik_kernel-bool-c",
+            "mle-y",
+            "mle-N",
+            "profile-y",
+            "classify-c",
+        ],
+    )
+    def test_rejects_non_integer_shapes(self, fn, args):
+        # N, c and y are counts; m alone is real
+        with pytest.raises(ParameterError):
+            fn(*args)
+
 
 class TestDerivatives:
     def test_stationary_at_half(self):
@@ -220,6 +245,12 @@ class TestPhi:
             report = classify_critical_point(20, 3, y)
             assert report.classification is Classification.LOCAL_MIN_AT_HALF
             assert report.phi_value > 0
+        # odd N with c + y - 1 >= N/2: phi is finite and negative, but L
+        # vanishes at N/2 +- 1/2, and N/2 is not the maximum
+        report = classify_critical_point(7, 1, 5)
+        assert report.classification is Classification.ZERO_AT_HALF
+        assert report.phi_value < 0
+        assert loglik_kernel(max(mle(7, 1, 5)), 7, 1, 5) > loglik_kernel(3.5, 7, 1, 5)
 
 
 class TestMle:
@@ -276,22 +307,39 @@ class TestMleAgainstExactRoot:
         with pytest.raises(DomainError):
             mle(20, 3, 15)
 
-    def test_bracket_steps_toward_the_root(self):
-        # a root outside the starting bracket, either side
-        gh = lambda m: (0.3 - m, -1.0)
-        for a in (0.0, 0.9):
-            got = _gradient_root(gh, a, a + 1e-6, 0.0, 1.0)
-            assert got == pytest.approx(0.3, abs=1e-10)
-
     def test_maximum_on_an_end(self):
-        assert _gradient_root(lambda m: (1.0, 0.0), 0.2, 0.3, 0.0, 1.0) == 1.0
-        assert _gradient_root(lambda m: (-1.0, 0.0), 0.2, 0.3, 0.0, 1.0) == 0.0
+        # L still rises at the upper end: that end is the maximizer
+        assert _gradient_root(lambda m: (1.0, 0.0), 0.0, 1.0) == 1.0
 
     def test_bisection_guards_newton(self):
         # from 5, Newton on -atan(m - 0.3) overshoots ever farther; bisection
         # takes over until Newton converges
         gh = lambda m: (-math.atan(m - 0.3), -1.0 / (1.0 + (m - 0.3) ** 2))
-        assert _gradient_root(gh, 0.0, 10.0, 0.0, 10.0) == pytest.approx(0.3, abs=1e-15)
+        assert _gradient_root(gh, 0.0, 10.0) == pytest.approx(0.3, abs=1e-15)
+
+    def test_pole_at_a_trial_point(self):
+        # the gradient walk raises DomainError at an integer m where a factor
+        # of D is zero; here the first midpoint is such a pole
+        seen = []
+
+        def gh(m):
+            seen.append(m)
+            if m == 0.5:
+                raise DomainError("pole")
+            return 0.3 - m, -1.0
+
+        assert _gradient_root(gh, 0.0, 1.0) == pytest.approx(0.3, abs=1e-12)
+        assert 0.5 in seen
+
+    def test_pole_at_the_upper_end(self):
+        # at N = 1e11 one ulp exceeds EDGE_CLIP, so the search's upper end
+        # rounds to N - c, a pole of the gradient walk
+        N, c, y = 10**11, 1, 3
+        assert N - c - estimation.EDGE_CLIP == N - c
+        lo, hi = sorted(mle(N, c, y))
+        assert lo + hi == pytest.approx(N, abs=1e-9 * N)
+        assert oracles.grad_exact(hi - 1e-3, N, c, y) > 0
+        assert oracles.grad_exact(hi + 1e-3, N, c, y) < 0
 
     def test_newton_finishes_to_rounding(self):
         # L' of (28, 1, 2) vanishes at 14 + 2 sqrt 5: Newton's last step
@@ -310,26 +358,9 @@ class TestMleAgainstExactRoot:
         assert oracles.grad_exact(hi - 1e-9, N, c, y) > 0
         assert oracles.grad_exact(hi + 1e-9, N, c, y) < 0
 
-    def test_golden_section_ends_below_an_ulp(self):
-        # a width of 1e-10, as mle's DomainError fallback asks for, is below
-        # one ulp at m = 2e6: the search must stop once it can shrink no more
-        def timeout(signum, frame):
-            raise TimeoutError("_golden_max did not return within 2 s")
-
-        previous = signal.signal(signal.SIGALRM, timeout)
-        signal.setitimer(signal.ITIMER_REAL, 2.0)
-        try:
-            a, b = estimation._golden_max(
-                lambda m: -(m - 2e6) ** 2, 2e6 - 1, 2e6 + 1, 1e-10
-            )
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert a <= 2e6 <= b
-        assert b - a <= 4 * math.ulp(2e6)
-
     def test_walks_per_estimate(self, monkeypatch):
-        # each walk is one _parts call; y <= N/2 - c on all these shapes
+        # each walk is one _parts call. y <= N/2 - c on the selfcheck shapes;
+        # on the last four c + y - 1 >= N/2, and the search starts at c + y - 1
         walks = 0
         parts = estimation._parts
 
@@ -339,23 +370,42 @@ class TestMleAgainstExactRoot:
             return parts(*args)
 
         monkeypatch.setattr(estimation, "_parts", counted)
-        for N, total, cs in _LIKELIHOOD_SHAPES:
-            for c in cs:
-                walks = 0
-                mle(N, c, total - c)
-                assert walks <= 20, (N, c, total - c, walks)
+        shapes = [(N, c, total - c) for N, total, cs in _LIKELIHOOD_SHAPES for c in cs]
+        shapes += [(20, 8, 3), (12, 1, 10), (21, 3, 10), (41, 5, 20)]
+        for N, c, y in shapes:
+            walks = 0
+            mle(N, c, y)
+            assert walks <= 20, (N, c, y, walks)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="for y > N/2 - c the golden bracket can hold a lesser local maximum",
-    )
     def test_global_maximum_when_y_exceeds_half_minus_c(self):
-        # mle(12, 1, 10) returns m = 6.66, where L = -10.96, while L
-        # reaches -2.49 near m = N - c
+        # L has a lesser local maximum near m = 6.66, where L = -10.96, while
+        # it reaches -2.49 near m = N - c
         N, c, y = 12, 1, 10
         hi = max(mle(N, c, y))
         best = max(loglik_kernel(N - c - k * 1e-3, N, c, y) for k in range(1, 1000))
         assert loglik_kernel(hi, N, c, y) >= best
+
+    def test_global_maximum_on_a_grid(self):
+        # every (N, c, y) with N <= 20: L at the estimate is at least L on a
+        # 1/32 grid of [N/2, N - c - EDGE_CLIP] and its end, and L is defined
+        # at every grid point above max(N/2, c + y - 1)
+        for N in range(2, 21):
+            for c in range(1, N // 2 + 1):
+                for y in range(N - 2 * c + 1):
+                    lo = max(N / 2, c + y - 1)
+                    hi = N - c - estimation.EDGE_CLIP
+                    grid = [N / 2 + k / 32 for k in range(int((hi - N / 2) * 32) + 1)]
+                    best = -math.inf
+                    for m in grid + [hi]:
+                        try:
+                            v = loglik_kernel(m, N, c, y)
+                        except DomainError:
+                            assert m <= lo, (N, c, y, m)
+                            continue
+                        assert math.isfinite(v), (N, c, y, m)
+                        best = max(best, v)
+                    got = loglik_kernel(max(mle(N, c, y)), N, c, y)
+                    assert got >= best, (N, c, y)
 
 
 class TestProfile:
