@@ -149,21 +149,24 @@ def _parse_grid(spec: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
+def _maximizers(ms: set[float]) -> str:
+    return ";".join(f"{float(e):.9g}" for e in sorted(ms))
+
+
 def cmd_mle(args: argparse.Namespace) -> int:
     _need(args, "N", "c", "y")
     N, c, y = args.N, args.c, args.y
     report = classify_critical_point(N, c, y)
-    m_hat = ";".join(f"{float(e):.9g}" for e in sorted(mle(N, c, y)))
     phi, kind = report.phi_value, report.classification.value
-    if args.profile is not None:
-        prof = profile(N, c, y, _parse_grid(args.profile))
-        rows = zip(prof.grid, prof.values)
-        _emit("m,loglik", (f"{m:.9g},{v:.9g}\n" for m, v in rows))
-        print(
-            f"maximizers={m_hat} phi={phi:.9g} classification={kind}", file=sys.stderr
-        )
+    if args.profile is None:
+        m_hat = _maximizers(mle(N, c, y))
+        _emit("m_hat,phi,classification", [f"{m_hat},{phi:.9g},{kind}\n"])
         return 0
-    _emit("m_hat,phi,classification", [f"{m_hat},{phi:.9g},{kind}\n"])
+    prof = profile(N, c, y, _parse_grid(args.profile))
+    rows = zip(prof.grid, prof.values)
+    _emit("m,loglik", (f"{m:.9g},{v:.9g}\n" for m, v in rows))
+    m_hat = _maximizers(prof.maximizers)
+    print(f"maximizers={m_hat} phi={phi:.9g} classification={kind}", file=sys.stderr)
     return 0
 
 
@@ -192,8 +195,8 @@ def _load_golden(which: int) -> list[tuple[str, str, float]]:
 def _figure_rows(which: int) -> list[tuple[str, str, float]]:
     """Recompute every (label, x) point of a figure from first principles.
 
-    Figures 1-5 read one pmf table per trace; a point past a truncated
-    table's last row takes the pointwise value.
+    Figures 1-5 read one pmf table per trace; every golden point lies
+    inside its table, truncated ones included.
     """
     golden = _load_golden(which)
     if which == 6:
@@ -212,9 +215,7 @@ def _figure_rows(which: int) -> list[tuple[str, str, float]]:
                 N = int(label[2:])
                 dist, params = Dist.MAXNH, UrnParams(N, N * num // den, c)
             tables[label] = pmf_table(dist, params)
-        t, y = tables[label], int(x)
-        value = t.probs[y] if y < len(t.probs) else pmf(t.dist, t.params, y)
-        out.append((label, x, value))
+        out.append((label, x, tables[label].probs[int(x)]))
     return out
 
 

@@ -239,11 +239,22 @@ def mle(N: int, c: int, y: int) -> set[float]:
 def profile(
     N: int, c: int, y: int, grid_spec: tuple[float, float, float]
 ) -> LikelihoodProfile:
-    """L on an inclusive lo:hi:step grid, plus the maximizer set."""
+    """L on an inclusive lo:hi:step grid, plus the maximizer set.
+
+    Bad shapes and impossible y raise as in mle. A grid point where L is
+    undefined (the two-term sum is not positive there) gets nan.
+    """
     lo, hi, step = grid_spec
     if step <= 0 or hi < lo:
         raise ParameterError(f"bad grid {lo}:{hi}:{step}")
+    maximizers = mle(N, c, y)
+
+    def value(m: float) -> float:
+        try:
+            return loglik_kernel(m, N, c, y)
+        except DomainError:
+            return math.nan
+
     n = round((hi - lo) / step)
     grid = [lo + k * step for k in range(n + 1)]
-    values = [loglik_kernel(g, N, c, y) for g in grid]
-    return LikelihoodProfile(N, c, y, grid, values, mle(N, c, y))
+    return LikelihoodProfile(N, c, y, grid, [value(g) for g in grid], maximizers)

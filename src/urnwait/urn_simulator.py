@@ -7,11 +7,12 @@ remaining1/total), which is equivalent to shuffling the urn up front.
 Randomness comes from xoshiro256** 1.0 (Blackman & Vigna, 2018), seeded
 through splitmix64, rather than platform default randomness: the algorithm
 is fixed here, so identical seeds reproduce identical draw sequences on any
-platform and any Python version. Every draw is exactly uniform, and one
-generator step serves many draws: a block of urn draws shares one Lemire
-draw below the product of their totals, and a Bernoulli draw reads 8-bit
-chunks of a word against p's binary expansion (README, "How the simulator
-draws").
+platform and any Python version. The step is written once, in next_u64;
+the trial loops call it, so the generator object holds the only state.
+Every draw is exactly uniform, and one word serves many draws: a block of
+urn draws shares one Lemire draw below the product of their totals, and a
+Bernoulli draw reads the bytes of a word against p's binary expansion
+(README, "How the simulator draws").
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterator
 
@@ -163,11 +164,10 @@ def _layout(N: int, K: int) -> tuple | None:
 
 
 def _urn_trials(params: UrnParams, scheme: Dist, rng: Xoshiro256StarStar):
-    """Endless trials as (y, first, n1, n2), first the terminal color; rng
-    takes the state reached when the generator closes. A block of draws
-    shares one Lemire draw u in [0, P) and reads off one divmod digit per
-    total (README, "How the simulator draws"). No trial draws more than
-    base + the largest y balls, so the layout stops there."""
+    """Endless trials as (y, first, n1, n2), first the terminal color. A
+    block of draws shares one Lemire draw u in [0, P) and reads off one
+    divmod digit per total (README, "How the simulator draws"). No trial
+    draws more than base + the largest y balls, so the layout stops there."""
     N, m = params.N, params.m
     t1, g2, t2, g1, base = _rule(scheme, params.c)
     K = base + support(scheme, params)[-1]
@@ -177,48 +177,35 @@ def _urn_trials(params: UrnParams, scheme: Dist, rng: Xoshiro256StarStar):
     # when T - rem1 (rem2 + 1 after the draw) reaches f2 while rem1 <= h1.
     e1, h2, f2, h1 = m - t1, N - m - g2, N - m - t2 + 1, m - g1
     dm = divmod
-    s0, s1, s2, s3 = rng._s
-    try:
-        while True:
-            rem1 = m
-            for P, thr, bits, totals in layout or _blocks(N, K):
-                while True:
-                    r = (s1 * 5) & _M64
-                    r = (((r << 7) | (r >> 57)) & _M64) * 9 & _M64
-                    t = (s1 << 17) & _M64
-                    s2 ^= s0
-                    s3 ^= s1
-                    s1 ^= s2
-                    s0 ^= s3
-                    s2 ^= t
-                    s3 = ((s3 << 45) | (s3 >> 19)) & _M64
-                    if bits > 64:  # a total above 2**64: more words
-                        rng._s = [s0, s1, s2, s3]
-                        for _ in range(bits // 64 - 1):
-                            r = r << 64 | rng.next_u64()
-                        s0, s1, s2, s3 = rng._s
-                    r *= P
-                    u = r >> bits
-                    if r - (u << bits) >= thr:
+    nxt = rng.next_u64
+    while True:
+        rem1 = m
+        for P, thr, bits, totals in layout or _blocks(N, K):
+            while True:
+                r = nxt()
+                if bits > 64:  # a total above 2**64: more words
+                    for _ in range(bits // 64 - 1):
+                        r = r << 64 | nxt()
+                r *= P
+                u = r >> bits
+                if r - (u << bits) >= thr:
+                    break
+            for T in totals:
+                u, d = dm(u, T)
+                if d < rem1:
+                    rem1 -= 1
+                    if rem1 == e1 and T - 1 - rem1 <= h2:
+                        first = True
                         break
-                for T in totals:
-                    u, d = dm(u, T)
-                    if d < rem1:
-                        rem1 -= 1
-                        if rem1 == e1 and T - 1 - rem1 <= h2:
-                            first = True
-                            break
-                    elif T - rem1 == f2 and rem1 <= h1:
-                        first = False
-                        break
-                else:
-                    continue
-                break
-            n1 = m - rem1
-            n2 = N - T + 1 - n1
-            yield n1 + n2 - base, first, n1, n2
-    finally:
-        rng._s = [s0, s1, s2, s3]
+                elif T - rem1 == f2 and rem1 <= h1:
+                    first = False
+                    break
+            else:
+                continue
+            break
+        n1 = m - rem1
+        n2 = N - T + 1 - n1
+        yield n1 + n2 - base, first, n1, n2
 
 
 def _chunks(p: float) -> bytes:
@@ -231,53 +218,40 @@ def _chunks(p: float) -> bytes:
 
 
 def _bernoulli_trials(params: BernoulliParams, scheme: Dist, rng: Xoshiro256StarStar):
-    """Endless trials, as _urn_trials gives them. A draw reads the stream
-    8 bits at a time, low end of each word first, against the chunks of p
-    until one differs; a tie on all of them means U >= p. A word's unread
-    chunks carry into the next trial."""
+    """Endless trials, as _urn_trials gives them. A draw reads the stream's
+    bytes, low byte of each word first, against the chunks of p until one
+    differs; a tie on all of them means U >= p. A word is drawn when its
+    first byte is read, and its unread bytes carry into the next trial."""
     t1, g2, t2, g1, base = _rule(scheme, params.c)
     pc = _chunks(params.p)
     last = len(pc) - 1
-    s0, s1, s2, s3 = rng._s
-    w = k = j = 0  # the word being read, its chunks left, the chunk of p
-    try:
+    words = iter(rng.next_u64, None)
+    byte = chain.from_iterable(
+        map(int.to_bytes, words, repeat(8), repeat("little"))
+    ).__next__
+    j = 0  # the chunk of p
+    while True:
+        n1 = n2 = 0
         while True:
-            n1 = n2 = 0
-            while True:
-                if not k:
-                    r = (s1 * 5) & _M64
-                    w = (((r << 7) | (r >> 57)) & _M64) * 9 & _M64
-                    t = (s1 << 17) & _M64
-                    s2 ^= s0
-                    s3 ^= s1
-                    s1 ^= s2
-                    s0 ^= s3
-                    s2 ^= t
-                    s3 = ((s3 << 45) | (s3 >> 19)) & _M64
-                    k = 8
-                k -= 1
-                ch = w & 255
-                w >>= 8
-                pj = pc[j]
-                if ch != pj:
-                    first = ch < pj
-                elif j < last:
-                    j += 1
-                    continue
-                else:
-                    first = False
-                j = 0
-                if first:
-                    n1 += 1
-                    if n1 == t1 and n2 >= g2:
-                        break
-                else:
-                    n2 += 1
-                    if n2 == t2 and n1 >= g1:
-                        break
-            yield n1 + n2 - base, first, n1, n2
-    finally:
-        rng._s = [s0, s1, s2, s3]
+            ch = byte()
+            pj = pc[j]
+            if ch != pj:
+                first = ch < pj
+            elif j < last:
+                j += 1
+                continue
+            else:
+                first = False
+            j = 0
+            if first:
+                n1 += 1
+                if n1 == t1 and n2 >= g2:
+                    break
+            else:
+                n2 += 1
+                if n2 == t2 and n1 >= g1:
+                    break
+        yield n1 + n2 - base, first, n1, n2
 
 
 def _trials(scheme: Dist, params: UrnParams | BernoulliParams, rng: Xoshiro256StarStar):
@@ -292,10 +266,7 @@ def _outcome(y: int, first: bool, n1: int, n2: int) -> DrawOutcome:
 
 
 def _one(scheme: Dist, params, rng: Xoshiro256StarStar) -> DrawOutcome:
-    trials = _trials(scheme, params, rng)
-    out = _outcome(*next(trials))
-    trials.close()
-    return out
+    return _outcome(*next(_trials(scheme, params, rng)))
 
 
 def _urn_trial(params: UrnParams, rng: Xoshiro256StarStar, scheme: Dist) -> DrawOutcome:

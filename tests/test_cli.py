@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from urnwait import BernoulliParams, Dist, UrnParams, cdf, cli, pmf, pmf_table
+from urnwait import BernoulliParams, Dist, UrnParams, cdf, cli, estimation, pmf, pmf_table
 from urnwait.distributions import maxnb_pmf, maxnh_pmf
 
 
@@ -242,6 +242,46 @@ class TestMle:
         assert header == "m,loglik"
         assert len(data) == 57
         assert "maximizers=10" in err
+
+    def test_profile_writes_nan_where_the_likelihood_is_undefined(self, capsys):
+        code, out, err = run(
+            ["mle", "--N", "12", "--c", "1", "--y", "10", "--profile", "1:11:0.5"],
+            capsys,
+        )
+        assert code == 0
+        header, data = rows(out)
+        assert header == "m,loglik"
+        assert len(data) == 21
+        undefined = [m for m, v in data if v == "nan"]
+        assert undefined == "2 2.5 3 4 4.5 5 6 7 7.5 8 9 9.5 10".split()
+        assert [",".join(r) for r in data if r[1] != "nan"] == [
+            "1,-2.48490665",
+            "1.5,-3.91618108",
+            "3.5,-8.31063023",
+            "5.5,-11.1438436",
+            "6.5,-11.1438436",
+            "8.5,-8.31063023",
+            "10.5,-3.91618108",
+            "11,-2.48490665",
+        ]
+        assert err == "maximizers=1.000001;10.999999 phi=nan classification=zero_at_half\n"
+
+    def test_one_mle_per_command(self, capsys, monkeypatch):
+        calls = []
+        real = estimation.mle
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "mle", counted)
+        monkeypatch.setattr(estimation, "mle", counted)
+        argv = ["mle", "--N", "20", "--c", "3", "--y", "5"]
+        for extra in ([], ["--profile", "3:17:0.25"]):
+            calls.clear()
+            code, _, _ = run(argv + extra, capsys)
+            assert code == 0
+            assert calls == [(20, 3, 5)], extra
 
     def test_malformed_grid_exit_2(self, capsys):
         code, _, err = run(

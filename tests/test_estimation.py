@@ -433,3 +433,24 @@ class TestProfile:
             profile(20, 3, 0, (5.0, 4.0, 0.25))
         with pytest.raises(ParameterError):
             profile(20, 3, 0, (3.0, 17.0, -1.0))
+
+    def test_nan_where_the_likelihood_is_undefined(self):
+        # (12, 1, 10): S <= 0 at these grid points, L is defined between
+        prof = profile(12, 1, 10, (1.0, 11.0, 0.5))
+        assert len(prof.grid) == 21
+        undefined = [g for g, v in zip(prof.grid, prof.values) if math.isnan(v)]
+        assert undefined == [2, 2.5, 3, 4, 4.5, 5, 6, 7, 7.5, 8, 9, 9.5, 10]
+        for g, v in zip(prof.grid, prof.values):
+            if g in undefined:
+                with pytest.raises(DomainError):
+                    loglik_kernel(g, 12, 1, 10)
+            else:
+                assert v == loglik_kernel(g, 12, 1, 10)
+        assert prof.maximizers == mle(12, 1, 10)
+
+    def test_bad_shapes_still_raise(self):
+        # mle runs before the grid, so these never turn into rows of nan
+        with pytest.raises(DomainError):
+            profile(20, 3, 50, (3.0, 17.0, 0.25))
+        with pytest.raises(ParameterError):
+            profile(20, 11, 0, (3.0, 17.0, 0.25))

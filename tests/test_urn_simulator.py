@@ -5,8 +5,11 @@ Stochastic assertions use a 3.5 sigma band (or chi-square p > 0.001), so a
 correct implementation fails any single one with probability < 5e-4.
 """
 
+import copy
 import math
+import pickle
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from scipy import stats
@@ -32,7 +35,7 @@ from urnwait import (
     pmf_table,
     tv_distance,
 )
-from urnwait.urn_simulator import _chunks
+from urnwait.urn_simulator import _bernoulli_trial, _chunks, _one, _trials
 
 _M64 = (1 << 64) - 1
 
@@ -230,6 +233,59 @@ class TestReferenceTrials:
             out = draw(params, seed)
             assert out == _ref_trials(dist, params, seed, 1)[0]
             assert sum(out.counts) <= 2 * 3 + out.y
+
+
+_STREAM_CASES = [
+    (Dist.MAXNH, UrnParams(60, 30, 8)),
+    (Dist.MAXNB, BernoulliParams(3, 0.1)),
+    (Dist.MAXNH, UrnParams(2**70, 2**69, 3)),
+]
+
+
+class TestSharedStream:
+    @pytest.mark.parametrize("dist,params", _STREAM_CASES)
+    def test_suspended_trial_shares_the_stream(self, dist, params):
+        # a trial draws its words from the caller's generator as it goes, so
+        # next_u64 continues after them while the trial is only suspended
+        for seed in range(5):
+            ref = Xoshiro256StarStar(seed)
+            _one(dist, params, ref)
+            want = ref.next_u64()
+            rng = Xoshiro256StarStar(seed)
+            trials = _trials(dist, params, rng)
+            next(trials)
+            assert rng.next_u64() == want, seed
+
+    def test_second_bernoulli_trial_starts_at_a_fresh_word(self):
+        dist, params = Dist.MAXNB, BernoulliParams(3, 0.1)
+        for seed in range(20):
+            rng = Xoshiro256StarStar(seed)
+            first = _bernoulli_trial(params, rng, dist)
+            second = _bernoulli_trial(params, rng, dist)
+            drawn = []
+
+            def counted():
+                for w in _ref_words(seed):
+                    drawn.append(w)
+                    yield w
+
+            assert first == _ref_bernoulli_trial(dist, params, _ref_chunks(counted()))
+            fresh = _ref_chunks(islice(_ref_words(seed), len(drawn), None))
+            assert second == _ref_bernoulli_trial(dist, params, fresh), seed
+
+    @pytest.mark.parametrize(
+        "dup", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))]
+    )
+    def test_copies_continue_the_stream_independently(self, dup):
+        params = UrnParams(60, 30, 8)
+        ref = Xoshiro256StarStar(17)
+        _one(Dist.MAXNH, params, ref)
+        want = [ref.next_u64() for _ in range(10)]
+        rng = Xoshiro256StarStar(17)
+        _one(Dist.MAXNH, params, rng)
+        twin = dup(rng)
+        assert [twin.next_u64() for _ in range(10)] == want
+        assert [rng.next_u64() for _ in range(10)] == want
 
 
 class TestBernoulliChunks:
