@@ -26,10 +26,8 @@ import bisect
 import enum
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice, repeat
 from operator import mul, truediv
 
 from . import kernel
@@ -206,8 +204,8 @@ def maxnh_pmf(params: UrnParams, y: int) -> float:
     Pr[Y=y] = {c/(2c+y)} {C(m, c+y)C(N-m, c) + C(m, c)C(N-m, c+y)} / C(N, 2c+y)
 
     for y in 0..max(m-c, N-m-c): c/(2c+y) times the hypergeometric terms of
-    c+y and c first-color balls in 2c+y draws. Under __debug__, pmf_table
-    holds its rows to _maxnh_pmf_binom, an lgamma evaluation of this form.
+    c+y and c first-color balls in 2c+y draws. The tests hold pmf_table's
+    rows to _maxnh_pmf_binom, an lgamma evaluation of this form.
     """
     N, m, c = params.N, params.m, params.c
     if not _in_support(y, max(m - c, N - m - c)):
@@ -309,30 +307,24 @@ _T_LO, _T_HI = 2.0**-64, 2.0**64
 _LN2 = math.log(2.0)
 
 
-def _walk(t: float, e: int, ratios):
-    """Yield (v, r) row by row: the term's value v = t * 2**e and the ratio r
-    that carries it to the next row. The value after the last ratio comes
-    with r = 0.0."""
+def _add_term(w: list[float], rows: range, e: int, ratios) -> int:
+    """Add the term that is 2**e at rows[0], walked along ratios, one per
+    row but the last, to w. Returns the row at which it stopped, or
+    rows.stop: once the term has underflowed to 0.0 ahead of a falling
+    ratio, no later ratio is larger, so every later row would add 0.0."""
     ldexp, frexp = math.ldexp, math.frexp
-    for r in ratios:
-        yield ldexp(t, e), r
+    t = 1.0
+    for y, r in zip(rows, ratios):
+        v = ldexp(t, e)
+        if v == 0.0 and r < 1.0:
+            return y
+        w[y] += v
         t *= r
         if not _T_LO <= t <= _T_HI:
             t, de = frexp(t)
             e += de
-    yield ldexp(t, e), 0.0
-
-
-def _add_term(w: list[float], rows, t: float, e: int, ratios) -> None:
-    """Add the term t * 2**e at rows[0], walked along ratios over rows, to w.
-
-    Stops once the term has underflowed to 0.0 ahead of a falling ratio: no
-    later ratio is larger, so every later row would add 0.0.
-    """
-    for y, (v, r) in zip(rows, _walk(t, e, ratios)):
-        if v == 0.0 and r < 1.0:
-            return
-        w[y] += v
+    w[rows[-1]] += ldexp(t, e)
+    return rows.stop
 
 
 def _urn_ratios(k: int, a: int, j: int, n: int, count: int):
@@ -372,8 +364,9 @@ def _exponent(log_anchor: float) -> int:
     return round(log_anchor / _LN2) + 64
 
 
-def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> list[float]:
-    """Rows proportional to the pmf of nh, maxnh, minnh or minnb.
+def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
+    """Rows proportional to the pmf of nh, maxnh, minnh or minnb, and the
+    span lo:hi outside which every row is 0.0.
 
     The anchor values come from lgamma, which only sets the scale: the
     rows are normalized afterwards.
@@ -386,6 +379,7 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> list[flo
         c, p = params.c, params.p
         pn, pd = p.as_integer_ratio()
         w = [0.0] * (c + 1)
+        lo = c
         log_pq = c * math.log(p * (1.0 - p))
         for fn in (pd - pn, pn):
             # At subnormal f a ratio into row k-1 can pass 2**1023, so this
@@ -396,15 +390,12 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> list[flo
             while top and top * pd >= (c + top - 1) * fn << 1023:
                 top -= 1
             log_f = math.log(fn / pd)
-            log_anchor = _log_comb(c + top - 1, c - 1) + log_pq - (c - top) * log_f
-            ratios = map(
-                truediv,
-                map(mul, range(top, 0, -1), repeat(pd)),
-                map(mul, range(c + top - 1, c - 1, -1), repeat(fn)),
-            )
-            _add_term(w, range(top, -1, -1), 1.0, _exponent(log_anchor), ratios)
+            dens = range((c + top - 1) * fn, (c - 1) * fn, -fn)
+            ratios = map(truediv, range(top * pd, 0, -pd), dens)
+            e = _exponent(_log_comb(c + top - 1, c - 1) + log_pq - (c - top) * log_f)
+            lo = min(lo, _add_term(w, range(top, -1, -1), e, ratios))
         w.pop()  # the anchor row y = c
-        return w
+        return w, lo + 1, c
     N, m, c = params.N, params.m, params.c
     if dist is Dist.NH:
         # p(y+1)/p(y) = (c+y)(N-m-y) / ((y+1)(N-c-y)), from p(0) = C(m,c)/C(N,c).
@@ -412,8 +403,7 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> list[flo
         w = [0.0] * n
         e = _exponent(_log_comb(m, c) - _log_comb(N, c))
         ratios = _urn_ratios(c, N - m, 1, N - c, n - 1)
-        _add_term(w, range(n), 1.0, e, ratios)
-        return w
+        return w, 0, _add_term(w, range(n), e, ratios)
     if dist is Dist.MAXNH:
         # Both terms equal p(0)/2 = C(N-2c, m-c) C(2c, c) / (2 C(N, m)) at
         # y = 0; the term for color count a has ratio
@@ -422,22 +412,33 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> list[flo
         w = [0.0] * n
         log_p0 = _log_comb(N - 2 * c, m - c) + _log_comb(2 * c, c) - _log_comb(N, m)
         e = _exponent(log_p0 - _LN2)
+        hi = 0
         for a in (m, N - m):
             ratios = _urn_ratios(2 * c, a - c, c + 1, N - 2 * c, n - 1)
-            _add_term(w, range(n), 1.0, e, ratios)
-        return w
+            hi = max(hi, _add_term(w, range(n), e, ratios))
+        return w, 0, hi
     # minnh is the sum of two nh-like terms, C(m,c) C(N-m,y) and C(m,y)
     # C(N-m,c) over C(N,c+y), times c/(c+y). Both equal
     # C(m,c) C(N-m,c) / (2 C(N,2c)) at y = c, one row past the support; with
     # b the other color's count, p(y)/p(y+1) = (y+1)(N-c-y) / ((c+y)(b-y)),
     # written below with i = c-1-y.
     w = [0.0] * (c + 1)
+    lo = c
     e = _exponent(_log_comb(m, c) + _log_comb(N - m, c) - _log_comb(N, 2 * c) - _LN2)
     for b in (N - m, m):
         ratios = _urn_ratios(N - 2 * c + 1, c, b - c + 1, 2 * c - 1, c)
-        _add_term(w, range(c, -1, -1), 1.0, e, ratios)
+        lo = min(lo, _add_term(w, range(c, -1, -1), e, ratios))
     w.pop()  # the anchor row y = c
-    return w
+    return w, lo + 1, c
+
+
+def _rows_capped(dist: Dist, params: BernoulliParams) -> bool:
+    """The up-front row cap of nb and maxnb, shared with sampling: whether
+    the term (k+y) f / (j+y) of _open_rows with the largest f, g, peaks past
+    _MAX_ROWS rows, near y = (k g - j)/(1 - g); nb walks only f = 1-p."""
+    c, p = params.c, params.p
+    k, j, g = (c, 1, 1.0 - p) if dist is Dist.NB else (2 * c, c + 1, max(p, 1.0 - p))
+    return not (g < 1.0 and k * g - j < _MAX_ROWS * (1.0 - g))
 
 
 def _open_rows(dist: Dist, params: BernoulliParams) -> list[float]:
@@ -446,58 +447,65 @@ def _open_rows(dist: Dist, params: BernoulliParams) -> list[float]:
     Each term's ratio is (k+y) f / (j+y), with f = p or 1-p taken as the
     exact rational pn/pd that the float p holds. Rows end at the first y
     where every term's ratio r is below 1 and sum_terms p(y) r/(1-r), a
-    bound on the mass past y, is below TAIL_EPS. Raises DomainError past
-    _MAX_ROWS rows.
+    bound on the mass past y, is below TAIL_EPS. Raises DomainError up
+    front where _rows_capped, and past _MAX_ROWS rows.
     """
     c, p = params.c, params.p
     pn, pd = p.as_integer_ratio()
     k, j = (c, 1) if dist is Dist.NB else (2 * c, c + 1)
-    # nb walks only its f = 1-p term. The walked term with the largest f, g,
-    # peaks near y = (k g - j)/(1 - g); past the cap, fail before filling rows.
-    g = (pd - pn) / pd if dist is Dist.NB else max(pn, pd - pn) / pd
-    if g < 1.0 and k * g - j < _MAX_ROWS * (1.0 - g):
-        if dist is Dist.NB:
-            anchors = [(*_pow(p, c), pd - pn)]
-        else:
-            # C(2c-1, c-1) p^c q^c; q = 1-p rounds, and the last factor
-            # restores (1-p)^c from q^c.
-            q = 1.0 - p
-            binom = math.comb(2 * c - 1, c - 1)
-            eb = binom.bit_length()
-            (tp, ep), (tq, eq) = _pow(p, c), _pow(q, c)
-            fix = math.exp(c * math.log1p(((1.0 - q) - p) / q))
-            t, e = math.frexp(binom / (1 << eb) * tp * tq * fix)
-            e += eb + ep + eq
-            anchors = [(t, e, pn), (t, e, pd - pn)]
-        walks = []
-        for t, e, fn in anchors:
-            ratios = map(
-                truediv,
-                map(mul, count(k), repeat(fn)),
-                map(mul, count(j), repeat(pd)),
-            )
-            walks.append(_walk(t, e, ratios))
-        rows: list[float] = []
-        for terms in islice(zip(*walks), _MAX_ROWS):
-            row = tail = 0.0
-            past_mode = True
-            for v, r in terms:
-                row += v
-                if r < 1.0:
-                    tail += v * r / (1.0 - r)
-                else:
-                    past_mode = False
-            rows.append(row)
-            if past_mode and tail < TAIL_EPS:
+
+    def ratios(fn: int):  # the first _MAX_ROWS of them
+        nums = range(k * fn, (k + _MAX_ROWS) * fn, fn)
+        return map(truediv, nums, range(j * pd, (j + _MAX_ROWS) * pd, pd))
+
+    ldexp, frexp = math.ldexp, math.frexp
+    rows: list[float] = []
+    if _rows_capped(dist, params):
+        pass  # refused below, before an anchor is computed
+    elif dist is Dist.NB:
+        t, e = _pow(p, c)
+        for r in ratios(pd - pn):
+            v = ldexp(t, e)
+            rows.append(v)
+            if r < 1.0 and v * r / (1.0 - r) < TAIL_EPS:
                 return rows
+            t *= r
+            if not _T_LO <= t <= _T_HI:
+                t, de = frexp(t)
+                e += de
+    else:
+        # Both terms start at C(2c-1, c-1) p^c q^c; q = 1-p rounds, and the
+        # last factor restores (1-p)^c from q^c.
+        q = 1.0 - p
+        binom = math.comb(2 * c - 1, c - 1)
+        eb = binom.bit_length()
+        (tp, ep), (tq, eq) = _pow(p, c), _pow(q, c)
+        fix = math.exp(c * math.log1p(((1.0 - q) - p) / q))
+        t1, e1 = math.frexp(binom / (1 << eb) * tp * tq * fix)
+        e1 += eb + ep + eq
+        t2, e2 = t1, e1
+        for r1, r2 in zip(ratios(pn), ratios(pd - pn)):
+            v1, v2 = ldexp(t1, e1), ldexp(t2, e2)
+            rows.append(v1 + v2)
+            if r1 < 1.0 and r2 < 1.0:
+                if v1 * r1 / (1.0 - r1) + v2 * r2 / (1.0 - r2) < TAIL_EPS:
+                    return rows
+            t1 *= r1
+            if not _T_LO <= t1 <= _T_HI:
+                t1, de = frexp(t1)
+                e1 += de
+            t2 *= r2
+            if not _T_LO <= t2 <= _T_HI:
+                t2, de = frexp(t2)
+                e2 += de
     raise DomainError(
         f"{dist.value} table at c={c}, p={p!r} needs more than {_MAX_ROWS} rows"
     )
 
 
 def _maxnh_pmf_binom(params: UrnParams, y: int) -> float:
-    """maxnh's binomial form, with each C(n, k) from lgamma: the reference
-    for pmf_table's maxnh cross-check, within a few ulp of ln N!.
+    """maxnh's binomial form, with each C(n, k) from lgamma: a test oracle
+    for maxnh tables and values, within a few ulp of ln N!.
 
     Pr[Y=y] = {c/(2c+y)} {C(m, c+y)C(N-m, c) + C(m, c)C(N-m, c+y)} / C(N, 2c+y)
     """
@@ -509,21 +517,6 @@ def _maxnh_pmf_binom(params: UrnParams, y: int) -> float:
         if k <= a:
             s += math.exp(_log_comb(a, k) + _log_comb(b, c) - log_den)
     return c / (2 * c + y) * s
-
-
-def _crosscheck_maxnh(params: UrnParams, probs: list[float]) -> None:
-    """Hold rows 0, the mode and the last row to _maxnh_pmf_binom, within
-    1e-12 relative plus 4 ulp of ln N! (one ulp of that log alone exceeds
-    1e-12 once N reaches the thousands)."""
-    slack = 1e-12 + 4 * sys.float_info.epsilon * math.lgamma(params.N + 1)
-    for y in {0, probs.index(max(probs)), len(probs) - 1}:
-        alt = _maxnh_pmf_binom(params, y)
-        assert abs(probs[y] - alt) <= slack * max(probs[y], alt, 1e-300), (
-            params,
-            y,
-            probs[y],
-            alt,
-        )
 
 
 def pmf_table(dist: Dist, params: UrnParams | BernoulliParams) -> PmfTable:
@@ -541,13 +534,11 @@ def pmf_table(dist: Dist, params: UrnParams | BernoulliParams) -> PmfTable:
         probs = _open_rows(dist, params)
         trunc = len(probs) - 1
     else:
-        w = _finite_weights(dist, params)
-        total = math.fsum(w)
-        # Rows that underflowed share one 0.0 object, not a float each.
-        probs = [v / total if v else 0.0 for v in w]
+        # fsum is exact, so the rows outside lo:hi, all 0.0, change no bit.
+        probs, lo, hi = _finite_weights(dist, params)
+        total = math.fsum(probs[lo:hi])
+        probs[lo:hi] = [v / total if v else 0.0 for v in probs[lo:hi]]
         trunc = None
-        if __debug__ and dist is Dist.MAXNH:
-            _crosscheck_maxnh(params, probs)
     return PmfTable(dist, params, list(range(len(probs))), probs, trunc)
 
 

@@ -131,6 +131,12 @@ def phi(N: int, c: int, y: int) -> float:
     starts negative and increases with y. Odd N evaluates at real N/2.
     """
     _check_nc(N, c, y)
+    return _phi(N, c, y)
+
+
+# One entry: the CLI classifies (N, c, y) and then estimates m at it.
+@functools.lru_cache(maxsize=1)
+def _phi(N: int, c: int, y: int) -> float:
     recips = []
     for k in range(y):
         d = N / 2 - c - k
@@ -228,8 +234,7 @@ def mle(N: int, c: int, y: int) -> set[float]:
     _check_nc(N, c, y)
     if 2 * c + y > N:
         raise DomainError(f"y={y} is impossible for N={N}, c={c}")
-    kind = classify_critical_point(N, c, y).classification
-    if kind is Classification.GLOBAL_MAX_AT_HALF:
+    if c + y - 1 < N / 2 and phi(N, c, y) < 0:  # GLOBAL_MAX_AT_HALF
         return {N / 2}
     lo = max(N / 2, c + y - 1)
     m_hat = _gradient_root(lambda m: _grad_hess(m, N, c, y), lo, N - c - EDGE_CLIP)

@@ -32,10 +32,12 @@ from .distributions import (
     Dist,
     PmfTable,
     UrnParams,
+    _MAX_ROWS,
     _check_params,
+    _rows_capped,
     support,
 )
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 
 _M64 = (1 << 64) - 1
 _TWO64 = 1 << 64
@@ -258,6 +260,8 @@ def _trials(scheme: Dist, params: UrnParams | BernoulliParams, rng: Xoshiro256St
     _check_params(scheme, params)
     if scheme in URN_DISTS:
         return _urn_trials(params, scheme, rng)
+    if scheme is not Dist.MINNB and _rows_capped(scheme, params):
+        raise DomainError(f"{scheme.value} at {params}: past the {_MAX_ROWS}-row cap")
     return _bernoulli_trials(params, scheme, rng)
 
 

@@ -4,6 +4,7 @@ rendering, exit codes, and the self-check's sensitivity to perturbations.
 
 import csv
 import dataclasses
+import functools
 import io
 import math
 import time
@@ -162,6 +163,18 @@ class TestSample:
         _, data = rows(out)
         assert len(data) == 2
 
+    @pytest.mark.parametrize("scheme", ["nb", "maxnb"])
+    @pytest.mark.parametrize("extra", [[], ["--empirical-pmf"]])
+    def test_row_cap_exit_2_before_any_output(self, scheme, extra, capsys):
+        # A trial at p = 1e-300 waits about 1e300 draws; sample refuses what
+        # pmf_table refuses, before the header.
+        argv = ["sample", scheme, "--c", "1", "--p", "1e-300", "--trials", "3", "--seed", "1"]
+        start = time.perf_counter()
+        code, out, err = run(argv + extra, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "1000000-row cap" in err
+
     def test_zero_trials_exit_2(self, capsys):
         code, _, err = run(
             ["sample", "maxnh", "--N", "15", "--m", "6", "--c", "3",
@@ -282,6 +295,26 @@ class TestMle:
             code, _, _ = run(argv + extra, capsys)
             assert code == 0
             assert calls == [(20, 3, 5)], extra
+
+    @pytest.mark.parametrize("N, c, y", [(20, 3, 5), (20, 3, 1), (20, 8, 3), (21, 3, 9)])
+    def test_phi_once_per_command(self, N, c, y, capsys, monkeypatch):
+        # The classification's phi and the one inside mle are one walk over
+        # the y terms, with and without --profile; at a pole of phi (20, 8, 3)
+        # the single walk raises and mle does not read phi.
+        calls = []
+        inner = estimation._phi.__wrapped__
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        argv = ["mle", "--N", str(N), "--c", str(c), "--y", str(y)]
+        for extra in ([], ["--profile", "3:17:0.25"]):
+            monkeypatch.setattr(estimation, "_phi", functools.lru_cache(maxsize=1)(counted))
+            calls.clear()
+            code, _, _ = run(argv + extra, capsys)
+            assert code == 0
+            assert calls == [(N, c, y)], extra
 
     def test_malformed_grid_exit_2(self, capsys):
         code, _, err = run(

@@ -5,8 +5,10 @@ every equally likely draw order, against independently coded closed forms,
 and against their own exact-rational twins.
 """
 
+import hashlib
 import itertools
 import math
+import struct
 import time
 from fractions import Fraction
 
@@ -375,36 +377,31 @@ class TestSupportAndTables:
                 pmf_table(dist, BernoulliParams(5000, 1e-7))
         assert time.perf_counter() - start < 2.0
 
-    def test_maxnh_table_is_cross_checked(self, monkeypatch):
-        # Under __debug__, rows 0, the mode and the last row of every maxnh
-        # table are held to the binomial form, evaluated from lgamma.
-        params = UrnParams(250, 60, 10)
-        real = distributions._maxnh_pmf_binom
-        seen = []
-
-        def spy(params, y):
-            seen.append(y)
-            return real(params, y)
-
-        monkeypatch.setattr(distributions, "_maxnh_pmf_binom", spy)
-        t = pmf_table(Dist.MAXNH, params)
-        assert sorted(seen) == sorted({0, t.probs.index(max(t.probs)), t.ys[-1]})
-
-        def off(params, y):
-            return real(params, y) * (1 + 1e-9)
-
-        monkeypatch.setattr(distributions, "_maxnh_pmf_binom", off)
-        with pytest.raises(AssertionError):
-            pmf_table(Dist.MAXNH, params)
+    def test_maxnh_tables_meet_the_binomial_form(self):
+        # Rows 0, the mode and the last row of maxnh tables are within 1e-12
+        # relative plus 4 ulp of ln N! of the binomial form, evaluated from
+        # lgamma (one ulp of that log alone exceeds 1e-12 once N reaches the
+        # thousands).
+        big = [(100_000, 40_000, 50), (100_000, 50_000, 300), (200_000, 80_000, 100),
+               (3000, 1200, 1)]
+        for triple in [*oracles.valid_triples(40), *big]:
+            params = UrnParams(*triple)
+            probs = pmf_table(Dist.MAXNH, params).probs
+            slack = 1e-12 + 4 * math.ulp(1.0) * math.lgamma(params.N + 1)
+            for y in {0, probs.index(max(probs)), len(probs) - 1}:
+                alt = _maxnh_pmf_binom(params, y)
+                assert abs(probs[y] - alt) <= slack * max(probs[y], alt, 1e-300), (
+                    params,
+                    y,
+                )
 
     @pytest.mark.parametrize(
         "triple", [(100_000, 50_000, 300), (200_000, 80_000, 100), (3000, 1200, 1)]
     )
     def test_maxnh_cross_check_reference_keeps_pointwise_slack(self, triple):
-        # The lgamma reference stays within the cross-check's slack of the
-        # exact pmf, so accurate tables pass their cross-check; the
-        # cumulative log-factorial table would drift 3.4e-9 off at
-        # (1e5, 5e4, 300), beyond that slack.
+        # The lgamma reference stays within that slack of the exact pmf, so
+        # accurate tables meet it; the cumulative log-factorial table would
+        # drift 3.4e-9 off at (1e5, 5e4, 300), beyond that slack.
         params = UrnParams(*triple)
         N = params.N
         slack = 1e-12 + 4 * math.ulp(1.0) * math.lgamma(N + 1)
@@ -413,6 +410,51 @@ class TestSupportAndTables:
             want = exact_pmf(Dist.MAXNH, params, y)
             got = Fraction(distributions._maxnh_pmf_binom(params, y))
             assert abs(got - want) <= slack * want, y
+
+
+# The row count, the truncation row and the sha256 of probs as little-endian
+# doubles, for shapes that reach every branch of the table walks: a change in
+# how tables are built must not move a bit of them.
+_PINNED_TABLES = [
+    (Dist.NH, UrnParams(250, 60, 10), 191, None,
+     "7d0f795abf894ef045f36cdf7ad68e608eba1f7e79636cc9ae384f60928788be"),
+    (Dist.NH, UrnParams(100_000, 90_000, 50), 10001, None,
+     "b035a17a3abdb123f8d67133eaa8e77220b430352aa00ebf2235071020e6271f"),
+    (Dist.MINNH, UrnParams(250, 200, 30), 30, None,
+     "1aa402c14f3315758d53cad56cf6bbb4c9a0712325b184458afb8d3867114773"),
+    (Dist.MAXNH, UrnParams(250, 60, 10), 181, None,
+     "356b236a787a2a563ef7f7d94643eecfd043f3203bbb6b56ff720a5b5315add6"),
+    # rows start near 1e-114
+    (Dist.MAXNH, UrnParams(2265, 144, 126), 1996, None,
+     "8b2ccf07e4422601ff080ed9771e7c7f2b332e8354434fe88a6d583bd0ea0f0b"),
+    # 58214 of the rows are 0.0
+    (Dist.MAXNH, UrnParams(100_000, 40_000, 50), 59951, None,
+     "e95bbea7268c031f5636f35aa35c55e3d3e7e643e65551466e5d9882c1186935"),
+    (Dist.NB, BernoulliParams(50, 0.3), 305, 304,
+     "f13956397a215b2fa0b7b9d33b23ecf523a917913ef295e2e0cb935d0dc64ee2"),
+    (Dist.NB, BernoulliParams(5, 1 - 2**-53), 1, 0,
+     "f0e3d350c0b30b3550e646576d0b95d2980125bcc5a77ac9adf5a79634b2f2f5"),
+    (Dist.MAXNB, BernoulliParams(50, 0.25), 333, 332,
+     "e6a3eba79c0b5d6e18547c7c42bda32501289621561942661140bf22fdbbff42"),
+    (Dist.MAXNB, BernoulliParams(3, 1 - 2**-10), 34851, 34850,
+     "66fe0ba48884786a412ff814bb14519a64ae750f057809447f441ed34df4b90d"),
+    (Dist.MINNB, BernoulliParams(50, 0.4), 50, None,
+     "be249520dc17673beddb5a041d59b8cdf4d93f27cdc8ea88cdc0103a59a182ca"),
+    (Dist.MINNB, BernoulliParams(20, 5e-324), 20, None,
+     "6c602861d0658aa1cf523200dceb999e2b82c65468fb7ea6f56c44ac1152e69c"),
+    (Dist.MINNB, BernoulliParams(40, 1e-310), 40, None,
+     "b005e4b689b0326c276711ccaef28239ade346c926a1ab0e46bd2fd3dc5bcf4c"),
+    (Dist.MINNB, BernoulliParams(20, 1 - 2**-53), 20, None,
+     "0d2013061871c219d12c5f6e7213ba7a1f2386dc1a8359bc0870d8a1e87e004a"),
+]
+
+
+@pytest.mark.parametrize("dist, params, n, trunc, digest", _PINNED_TABLES)
+def test_table_bits_are_pinned(dist, params, n, trunc, digest):
+    t = pmf_table(dist, params)
+    packed = struct.pack(f"<{len(t.probs)}d", *t.probs)
+    assert (len(t.probs), t.truncation) == (n, trunc)
+    assert hashlib.sha256(packed).hexdigest() == digest
 
 
 class TestTableAccuracy:

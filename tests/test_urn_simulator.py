@@ -8,6 +8,7 @@ correct implementation fails any single one with probability < 5e-4.
 import copy
 import math
 import pickle
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -19,6 +20,7 @@ from urnwait import (
     BernoulliParams,
     Color,
     Dist,
+    DomainError,
     DrawOutcome,
     ParameterError,
     PmfTable,
@@ -417,6 +419,22 @@ class TestBernoulliScheme:
     def test_rejects_urn_schemes(self):
         with pytest.raises(ParameterError):
             bernoulli_scheme(BernoulliParams(2, 0.5), Dist.NH, 1)
+
+    def test_row_cap_raises_quickly(self):
+        # Every entry point refuses the nb and maxnb shapes that pmf_table
+        # refuses up front, before a draw; minnb at the same p ends in c draws.
+        config = SimConfig(seed=1, trials=3)
+        start = time.perf_counter()
+        for params in (BernoulliParams(1, 1e-300), BernoulliParams(5000, 1e-7)):
+            for dist in (Dist.NB, Dist.MAXNB):
+                for call in (iter_outcomes, empirical_pmf):
+                    with pytest.raises(DomainError, match="1000000-row cap"):
+                        call(dist, params, config)
+                with pytest.raises(DomainError, match="1000000-row cap"):
+                    bernoulli_scheme(params, dist, 1)
+        assert time.perf_counter() - start < 1.0
+        out = bernoulli_scheme(BernoulliParams(3, 1e-300), Dist.MINNB, 1)
+        assert out.counts == (0, 3)
 
     def test_deterministic(self):
         params = BernoulliParams(3, 0.4)
