@@ -434,11 +434,37 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
 
 def _rows_capped(dist: Dist, params: BernoulliParams) -> bool:
     """The up-front row cap of nb and maxnb, shared with sampling: whether
-    the term (k+y) f / (j+y) of _open_rows with the largest f, g, peaks past
-    _MAX_ROWS rows, near y = (k g - j)/(1 - g); nb walks only f = 1-p."""
+    the term (k+y) f / (j+y) of _open_rows with the largest f, g = 1 - s,
+    peaks past _MAX_ROWS rows, near y = (k g - j)/(1 - g), or its tail
+    reaches past them. nb walks only f = 1-p. The tail bound _tail_rows is
+    below ln(1/(s TAIL_EPS))/s, so it is taken only where that passes the
+    cap."""
     c, p = params.c, params.p
-    k, j, g = (c, 1, 1.0 - p) if dist is Dist.NB else (2 * c, c + 1, max(p, 1.0 - p))
-    return not (g < 1.0 and k * g - j < _MAX_ROWS * (1.0 - g))
+    k, j, s = (c, 1, p) if dist is Dist.NB else (2 * c, c + 1, min(p, 1.0 - p))
+    g = 1.0 - s
+    if not (g < 1.0 and k * g - j < _MAX_ROWS * (1.0 - g)):
+        return True
+    return -math.log(s * TAIL_EPS) > _MAX_ROWS * s and _tail_rows(dist, params) > _MAX_ROWS
+
+
+def _tail_rows(dist: Dist, params: BernoulliParams) -> float:
+    """A lower bound on the rows of an nb or maxnb table, for g < 1.
+
+    Take the term of _open_rows with the largest f, g = 1 - s: at y = 0 it
+    is v0 = p^c (nb) or C(2c-1, c-1) (p (1-p))^c (maxnb), at most 1, and
+    every ratio r of it is at least g. The walk ends only where v(y) r/(1-r) <
+    TAIL_EPS, and v(y) r/(1-r) >= v0 g^(y+1)/s, so it takes more than
+    ln(v0/(s TAIL_EPS)) / -ln(g) rows. The 1e-6 taken off the log covers
+    the rounding of the walk and of lgamma.
+    """
+    c, p = params.c, params.p
+    if dist is Dist.NB:
+        s, log_v0 = p, c * math.log(p)
+    else:
+        s = min(p, 1.0 - p)
+        log_binom = math.lgamma(2 * c) - math.lgamma(c) - math.lgamma(c + 1)
+        log_v0 = log_binom + c * (math.log(p) + math.log1p(-p))
+    return (log_v0 - math.log(s * TAIL_EPS) - 1e-6) / -math.log1p(-s)
 
 
 def _open_rows(dist: Dist, params: BernoulliParams) -> list[float]:

@@ -128,7 +128,10 @@ def phi(N: int, c: int, y: int) -> float:
 
     phi = sum_{0<=k<k'<=y-1} 1/((N/2-c-k)(N/2-c-k')) - sum_{i=0}^{c-1} (N/2-i)^{-2};
     sign(phi) = sign(L''(N/2)). The pairwise sum is empty for y <= 1, so phi
-    starts negative and increases with y. Odd N evaluates at real N/2.
+    starts negative and increases with y. Odd N evaluates at real N/2. The
+    pairwise sum is (h1^2 - h2)/2 over the run N/2 - c, N/2 - c - 1, ...,
+    and the penalty is h2 over N/2, N/2 - 1, ...: kernel._harmonic gives
+    both in O(1).
     """
     _check_nc(N, c, y)
     return _phi(N, c, y)
@@ -137,17 +140,12 @@ def phi(N: int, c: int, y: int) -> float:
 # One entry: the CLI classifies (N, c, y) and then estimates m at it.
 @functools.lru_cache(maxsize=1)
 def _phi(N: int, c: int, y: int) -> float:
-    recips = []
-    for k in range(y):
-        d = N / 2 - c - k
-        if d == 0.0:
-            raise DomainError(f"phi undefined: N/2 - c - k vanishes at k={k}")
-        recips.append(1.0 / d)
-    total = math.fsum(recips)
-    squares = math.fsum(r * r for r in recips)
+    try:
+        total, squares = kernel._harmonic(N / 2 - c, y)
+    except DomainError:
+        raise DomainError(f"phi undefined: N/2 - c - k vanishes at k={N // 2 - c}") from None
     pairwise = 0.5 * (total * total - squares)
-    penalty = math.fsum(1.0 / (N / 2 - i) ** 2 for i in range(c))
-    return pairwise - penalty
+    return pairwise - kernel._harmonic(N / 2, c)[1]
 
 
 def classify_critical_point(N: int, c: int, y: int) -> CriticalPointReport:

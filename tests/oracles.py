@@ -168,6 +168,19 @@ def hess_exact(m: float, N: int, c: int, y: int) -> Fraction:
     return Fraction(s2, s) - Fraction(s1, s) ** 2
 
 
+def phi_exact(N: int, c: int, y: int) -> Fraction:
+    """phi in exact rationals, from its definition: the sum over pairs
+    k < k' < y of 1/((N/2-c-k)(N/2-c-k')), taken one k' at a time against
+    the running sum over k < k', minus sum_{i<c} (N/2-i)^-2."""
+    half = Fraction(N, 2)
+    pairwise = running = Fraction(0)
+    for k in range(y):
+        r = 1 / (half - c - k)
+        pairwise += r * running
+        running += r
+    return pairwise - sum((1 / (half - i) ** 2 for i in range(c)), Fraction(0))
+
+
 # ---------------------------------------------------------------------------
 # Numeric helpers
 # ---------------------------------------------------------------------------

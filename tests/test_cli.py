@@ -175,6 +175,16 @@ class TestSample:
         assert (code, out) == (2, "")
         assert "1000000-row cap" in err
 
+    @pytest.mark.parametrize("scheme, p", [("maxnb", "0.9999999999999999"), ("nb", "1e-7")])
+    def test_long_tail_exit_2_before_any_output(self, scheme, p, capsys):
+        # The wait peaks early, but its tail passes the row cap.
+        argv = ["sample", scheme, "--c", "1", "--p", p, "--trials", "3", "--seed", "1"]
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "1000000-row cap" in err
+
     def test_zero_trials_exit_2(self, capsys):
         code, _, err = run(
             ["sample", "maxnh", "--N", "15", "--m", "6", "--c", "3",
@@ -373,7 +383,7 @@ class TestSelfcheck:
     def test_likelihood_suite(self, capsys, monkeypatch):
         code, out, _ = run(["selfcheck"], capsys)
         _, data = rows(out)
-        assert [r[3] for r in data if r[0] == "likelihood N<=61"] == ["PASS"]
+        assert [r[3] for r in data if r[0] == "likelihood N<=400"] == ["PASS"]
         for name in ("loglik_kernel", "loglik_grad"):
             real = getattr(cli, name)
             with monkeypatch.context() as mp:
@@ -381,7 +391,7 @@ class TestSelfcheck:
                 code, out, _ = run(["selfcheck"], capsys)
             assert code == 1
             _, data = rows(out)
-            assert [r[3] for r in data if r[0] == "likelihood N<=61"] == ["FAIL"]
+            assert [r[3] for r in data if r[0] == "likelihood N<=400"] == ["FAIL"]
 
     def test_detects_pmf_perturbation(self, capsys, monkeypatch):
         # figures 1-5 read pmf tables

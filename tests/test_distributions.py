@@ -377,6 +377,38 @@ class TestSupportAndTables:
                 pmf_table(dist, BernoulliParams(5000, 1e-7))
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize(
+        "dist, c, p",
+        [(Dist.MAXNB, 1, 1 - 2**-53), (Dist.NB, 1, 1e-7), (Dist.NB, 2, 1e-5),
+         (Dist.MAXNB, 1, 2e-5)],
+    )
+    def test_long_tail_refused_up_front(self, dist, c, p):
+        # The largest term peaks inside the cap, but its geometric tail,
+        # about ln(1/TAIL_EPS)/(1-g) rows, reaches past it. Walking the 10**6
+        # rows before refusing takes over a second.
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="1000000 rows"):
+            pmf_table(dist, BernoulliParams(c, p))
+        assert time.perf_counter() - start < 0.5
+
+    def test_tail_rows_is_a_lower_bound(self):
+        # Every table takes at least _tail_rows rows, so the up-front test
+        # refuses no shape whose walk would end inside the cap. For nb at
+        # c = 1 every ratio is 1-p, and the bound is within one row (less the
+        # slack of 1e-6 in its log).
+        for dist in (Dist.NB, Dist.MAXNB):
+            for c in (1, 2, 3, 5, 10, 30, 200):
+                for p in (0.5, 0.25, 0.01, 1e-3, 1 - 1e-3, 0.999999, 1 - 2**-40):
+                    params = BernoulliParams(c, p)
+                    try:
+                        rows = len(pmf_table(dist, params).ys)
+                    except DomainError:
+                        continue
+                    bound = distributions._tail_rows(dist, params)
+                    assert bound <= rows, (dist, c, p)
+                    if dist is Dist.NB and c == 1:
+                        assert bound > rows - 1.001, p
+
     def test_maxnh_tables_meet_the_binomial_form(self):
         # Rows 0, the mode and the last row of maxnh tables are within 1e-12
         # relative plus 4 ulp of ln N! of the binomial form, evaluated from

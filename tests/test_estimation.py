@@ -209,7 +209,7 @@ class TestAgainstExactRationals:
     def test_hess_relative(self, N, c, y):
         for m in _profile_points(N, c):
             want = oracles.hess_exact(m, N, c, y)
-            assert abs(Fraction(loglik_hess(m, N, c, y)) - want) <= 1e-11 * abs(want)
+            assert abs(Fraction(loglik_hess(m, N, c, y)) - want) <= 1e-12 * abs(want)
 
 
 class TestPhi:
@@ -231,6 +231,15 @@ class TestPhi:
             assert math.copysign(1, phi(20, 3, y)) == math.copysign(
                 1, loglik_hess(10.0, 20, 3, y)
             )
+
+    def test_sign_is_exact(self):
+        # every (N, c, y) with N <= 46 and c + y - 1 < N/2, where phi decides
+        # whether mle returns {N/2}: no exact zero occurs there
+        for N in range(2, 47):
+            for c in range(1, N // 2 + 1):
+                for y in range(math.ceil(N / 2) - c + 1):
+                    want = oracles.phi_exact(N, c, y)
+                    assert want != 0 and (phi(N, c, y) < 0) == (want < 0), (N, c, y)
 
     def test_zero_denominator_raises(self):
         with pytest.raises(DomainError):

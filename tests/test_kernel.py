@@ -125,6 +125,75 @@ class TestWalk:
         assert runs[0][0] != 0.0 and runs[1][0] == 0.0
         with pytest.raises(DomainError):
             kernel._walk(5.0, (3, 4), moments=1)
+        with pytest.raises(DomainError):  # a run longer than _ONE_PASS
+            kernel._walk(30.0, (3, 40), moments=1)
+
+
+def _exact_moments(z: float, n: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(sum 1/t, sum 1/t**2, sum |1/t|) over t = z - i, i < n, exact."""
+    inv = [1 / (Fraction(z) - i) for i in range(n)]
+    return sum(inv, Fraction(0)), sum((r * r for r in inv), Fraction(0)), sum(map(abs, inv))
+
+
+def _assert_moments(z: float, n: int, got: tuple[float, float]):
+    """h1 within 1e-13 of sum |1/t| (a relative error wherever the run does
+    not cross zero), h2 within 1e-13 relative."""
+    h1, h2, scale = _exact_moments(z, n)
+    assert abs(Fraction(got[0]) - h1) <= 1e-13 * scale, (z, n)
+    assert abs(Fraction(got[1]) - h2) <= 1e-13 * h2, (z, n)
+
+
+class TestHarmonic:
+    """The closed-form moments of a run: sums of 1/(z-i) and 1/(z-i)**2."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+        st.integers(min_value=0, max_value=80),
+    )
+    def test_random_runs(self, z, n):
+        if 0 <= round(z) < n and abs(z - round(z)) < 1e-150:
+            return  # a pole (below), or 1/t**2 overflows, in the walk as here
+        _assert_moments(z, n, kernel._harmonic(z, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=80), st.floats(min_value=0.0, max_value=1.0))
+    def test_runs_that_cross_zero(self, n, frac):
+        z = frac * (n - 1)
+        if abs(z - round(z)) < 1e-150:
+            return  # a pole, or 1/t**2 overflows
+        _assert_moments(z, n, kernel._harmonic(z, n))
+
+    def test_symmetric_run_sums_to_zero(self):
+        # 5.5, 4.5, ..., -5.5: the positive and negated parts cancel exactly
+        h1, h2 = kernel._harmonic(5.5, 12)
+        assert abs(h1) <= 1e-15
+        _assert_moments(5.5, 12, (h1, h2))
+
+    @given(st.integers(min_value=1, max_value=500), st.data())
+    def test_pole(self, n, data):
+        z = float(data.draw(st.integers(min_value=0, max_value=n - 1)))
+        with pytest.raises(DomainError):
+            kernel._harmonic(z, n)
+
+    @pytest.mark.parametrize("z", [1e11, 1e11 + 0.37, 2.0**52 - 0.5])
+    def test_far_from_zero(self, z):
+        # psi(z+1) - psi(z-n+1) as a plain difference is 1e-4 off at 1e11
+        for n in (1, 2, 3, 100):
+            _assert_moments(z, n, kernel._harmonic(z, n))
+
+    @pytest.mark.parametrize("z", [1300.37, 30.5, 20.25, 7.75])
+    def test_walk_runs_on_both_sides_of_the_crossover(self, z):
+        # a run of _ONE_PASS terms is summed in the walk, one more term
+        # goes to _harmonic; both agree with the same terms split in two
+        k = kernel._ONE_PASS
+        (short,) = kernel._walk(z, (k,), moments=2)
+        (long,) = kernel._walk(z, (k + 1,), moments=2)
+        (one,) = kernel._walk(z - k, (1,), moments=2)
+        assert long[2] == pytest.approx(short[2] + one[2], rel=1e-14, abs=1e-15)
+        assert long[3] == pytest.approx(short[3] + one[3], rel=1e-14)
+        _assert_moments(z, k, short[2:])
+        _assert_moments(z, k + 1, long[2:])
 
 
 def _pi() -> Decimal:

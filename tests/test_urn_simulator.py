@@ -436,6 +436,20 @@ class TestBernoulliScheme:
         out = bernoulli_scheme(BernoulliParams(3, 1e-300), Dist.MINNB, 1)
         assert out.counts == (0, 3)
 
+    def test_long_tail_raises_quickly(self):
+        # The wait peaks early but has a tail past the row cap: a maxnb trial
+        # at p = 1 - 2**-53 waits about 2**53 draws for its rarer color.
+        config = SimConfig(seed=1, trials=3)
+        start = time.perf_counter()
+        for dist, params in ((Dist.MAXNB, BernoulliParams(1, 1 - 2**-53)),
+                             (Dist.NB, BernoulliParams(1, 1e-7))):
+            for call in (iter_outcomes, empirical_pmf):
+                with pytest.raises(DomainError, match="1000000-row cap"):
+                    call(dist, params, config)
+            with pytest.raises(DomainError, match="1000000-row cap"):
+                bernoulli_scheme(params, dist, 1)
+        assert time.perf_counter() - start < 1.0
+
     def test_deterministic(self):
         params = BernoulliParams(3, 0.4)
         assert bernoulli_scheme(params, Dist.MAXNB, 9) == bernoulli_scheme(
