@@ -270,9 +270,9 @@ def _check_enumeration() -> tuple[str, float, float, bool]:
 
 
 # (N, c + y, the values of c) of the mle shapes checked against exact
-# rationals. The y = 120 runs of the last one are long enough for the walk
-# to take their moments from kernel._harmonic, and at the larger m its D run
-# crosses zero.
+# rationals. The y = 120 runs of the last one are long enough for
+# kernel._harmonic to take their sums in closed form, and at the larger m its
+# D run crosses zero.
 _LIKELIHOOD_SHAPES = (
     (20, 8, (2, 3, 4)),
     (21, 8, (2, 3, 4)),

@@ -65,14 +65,20 @@ def _check_nc(N: int, c: int, y: int) -> None:
         raise ParameterError(f"y must be nonnegative, got {y}")
 
 
-def _parts(m: float, N: int, c: int, y: int, moments: int = 0):
+def _check_m(m: float, N: int, c: int, y: int) -> None:
+    _check_nc(N, c, y)
+    if not math.isfinite(m):
+        raise ParameterError(f"m must be finite, got {m!r}")
+
+
+def _parts(m: float, N: int, c: int, y: int):
     """S = A B (C + D) from two walks of c + y terms: A = m^(c), C = (m-c)^(y),
     B = (N-m)^(c), D = (N-m-c)^(y). The two products are A B D and A B C, so
     C + D has their relative residual and takes the CANCEL_EPS zero rule.
-    Returns the four walk runs, C/(C+D), D/(C+D), and C + D as s * 2**e.
+    Returns the runs A and B, C/(C+D), D/(C+D), and C + D as s * 2**e.
     """
-    A, C = kernel._walk(m, (c, y), moments)
-    B, D = kernel._walk(N - m, (c, y), moments)
+    A, C = kernel._walk(m, (c, y))
+    B, D = kernel._walk(N - m, (c, y))
     e = max(C[1], D[1])
     cv, dv = math.ldexp(C[0], C[1] - e), math.ldexp(D[0], D[1] - e)
     s = cv + dv
@@ -80,7 +86,7 @@ def _parts(m: float, N: int, c: int, y: int, moments: int = 0):
         raise DomainError(
             f"likelihood kernel undefined: the bracketed sum is <= 0 at m={m}"
         )
-    return A, B, C, D, cv / s, dv / s, s, e
+    return A, B, cv / s, dv / s, s, e
 
 
 @functools.lru_cache(maxsize=64)
@@ -91,35 +97,38 @@ def _den(N: int, n: int) -> tuple:
 
 def loglik_kernel(m: float, N: int, c: int, y: int) -> float:
     """L(m), defined wherever the two-term sum is positive."""
-    _check_nc(N, c, y)
+    _check_m(m, N, c, y)
     if 2 * c + y > N:
         raise DomainError(f"y={y} is impossible for N={N}, c={c}")
-    A, B, _, _, _, _, s, e = _parts(m, N, c, y)
+    A, B, _, _, s, e = _parts(m, N, c, y)
     den = _den(N, 2 * c + y)
     # the binary exponents cancel as integers before any log is taken
     return math.log(A[0] * B[0] * s / den[0]) + (A[1] + B[1] + e - den[1]) * kernel._LN2
 
 
-def loglik_grad(m: float, N: int, c: int, y: int) -> float:
-    """L' = A'/A + B'/B + (C' + D')/(C + D), where P'/P = sum 1/(z-i) for a
-    factorial polynomial in z; B and D run in N - m, which flips the sign."""
-    _check_nc(N, c, y)
-    A, B, C, D, wc, wd, _, _ = _parts(m, N, c, y, 1)
-    return A[2] - B[2] + wc * C[2] - wd * D[2]
-
-
 def _grad_hess(m: float, N: int, c: int, y: int) -> tuple[float, float]:
-    """(L', L'') from one walk: (log P)'' = -sum 1/(z-i)^2 and
-    P''/P = (P'/P)^2 + (log P)''."""
-    A, B, C, D, wc, wd, _, _ = _parts(m, N, c, y, 2)
-    v = wc * C[2] - wd * D[2]
-    h = wc * (C[2] ** 2 - C[3]) + wd * (D[2] ** 2 - D[3]) - v * v - A[3] - B[3]
-    return A[2] - B[2] + v, h
+    """(L', L'') from one walk and four runs' sums h = sum 1/(z-i) and
+    q = sum 1/(z-i)^2: P'/P = h and (log P)'' = -q for a factorial
+    polynomial P in z, so P''/P = h^2 - q. L' = A'/A + B'/B + (C' + D')/(C + D),
+    where B and D run in N - m, which flips the sign of their h."""
+    _, _, wc, wd, _, _ = _parts(m, N, c, y)
+    ha, qa = kernel._harmonic(m, c)
+    hc, qc = kernel._harmonic(m - c, y)
+    hb, qb = kernel._harmonic(N - m, c)
+    hd, qd = kernel._harmonic(N - m - c, y)
+    v = wc * hc - wd * hd
+    return ha - hb + v, wc * (hc**2 - qc) + wd * (hd**2 - qd) - v * v - qa - qb
+
+
+def loglik_grad(m: float, N: int, c: int, y: int) -> float:
+    """L', from the same terms as L'' (see _grad_hess)."""
+    _check_m(m, N, c, y)
+    return _grad_hess(m, N, c, y)[0]
 
 
 def loglik_hess(m: float, N: int, c: int, y: int) -> float:
     """L'', from the same terms as L' (see _grad_hess)."""
-    _check_nc(N, c, y)
+    _check_m(m, N, c, y)
     return _grad_hess(m, N, c, y)[1]
 
 
@@ -134,16 +143,20 @@ def phi(N: int, c: int, y: int) -> float:
     both in O(1).
     """
     _check_nc(N, c, y)
-    return _phi(N, c, y)
+    v = _phi(N, c, y)
+    if math.isnan(v):
+        raise DomainError(f"phi undefined: N/2 - c - k vanishes at k={N // 2 - c}")
+    return v
 
 
-# One entry: the CLI classifies (N, c, y) and then estimates m at it.
+# One entry: the CLI classifies (N, c, y) and then estimates m at it. A pole
+# gives nan, so that it is cached too.
 @functools.lru_cache(maxsize=1)
 def _phi(N: int, c: int, y: int) -> float:
     try:
         total, squares = kernel._harmonic(N / 2 - c, y)
     except DomainError:
-        raise DomainError(f"phi undefined: N/2 - c - k vanishes at k={N // 2 - c}") from None
+        return math.nan
     pairwise = 0.5 * (total * total - squares)
     return pairwise - kernel._harmonic(N / 2, c)[1]
 
@@ -156,10 +169,8 @@ def classify_critical_point(N: int, c: int, y: int) -> CriticalPointReport:
     N. That is ZERO_AT_HALF. Otherwise phi < 0 makes N/2 the global maximum
     and phi >= 0 a local minimum.
     """
-    try:
-        v = phi(N, c, y)
-    except DomainError:
-        v = math.nan
+    _check_nc(N, c, y)
+    v = _phi(N, c, y)
     if c + y - 1 >= N / 2:
         kind = Classification.ZERO_AT_HALF
     elif v < 0:
@@ -222,17 +233,17 @@ def mle(N: int, c: int, y: int) -> set[float]:
     D = prod(b_i - u). Since y <= N - 2c, every negative b_i pairs with
     +|b_i|, and each pair puts the same factor u^2 - b_i^2 into C and D, so
     S = A B (C + D) > 0 on (lo, N - c] with lo = max(N/2, c + y - 1), and
-    S = 0 at lo whenever c + y - 1 >= N/2. If c + y - 1 < N/2 and phi < 0,
-    L peaks at N/2 and {N/2} is returned. Otherwise the maximizer m_hat is
-    the root of L' on (lo, N - c] found by _gradient_root, and
-    {m_hat, N - m_hat} is returned. That the global maximum of L lies on
-    this interval, as its only local maximum, is measured (every input
-    with N <= 40), not proven.
+    S = 0 at lo whenever c + y - 1 >= N/2. Where classify_critical_point
+    finds N/2 the global maximum, {N/2} is returned. Otherwise the
+    maximizer m_hat is the root of L' on (lo, N - c] found by
+    _gradient_root, and {m_hat, N - m_hat} is returned. That the global
+    maximum of L lies on this interval, as its only local maximum, is
+    measured (every input with N <= 40), not proven.
     """
     _check_nc(N, c, y)
     if 2 * c + y > N:
         raise DomainError(f"y={y} is impossible for N={N}, c={c}")
-    if c + y - 1 < N / 2 and phi(N, c, y) < 0:  # GLOBAL_MAX_AT_HALF
+    if classify_critical_point(N, c, y).classification is Classification.GLOBAL_MAX_AT_HALF:
         return {N / 2}
     lo = max(N / 2, c + y - 1)
     m_hat = _gradient_root(lambda m: _grad_hess(m, N, c, y), lo, N - c - EDGE_CLIP)
@@ -245,10 +256,14 @@ def profile(
     """L on an inclusive lo:hi:step grid, plus the maximizer set.
 
     Bad shapes and impossible y raise as in mle. A grid point where L is
-    undefined (the two-term sum is not positive there) gets nan.
+    undefined (the two-term sum is not positive there) gets nan. A grid
+    whose ends, step, point count or points are not finite raises
+    ParameterError.
     """
     lo, hi, step = grid_spec
-    if step <= 0 or hi < lo:
+    n = (hi - lo) / step if step > 0 and hi >= lo else math.nan
+    # an end or a step that is not finite makes n or the last point not finite
+    if not (math.isfinite(n) and math.isfinite(lo + round(n) * step)):
         raise ParameterError(f"bad grid {lo}:{hi}:{step}")
     maximizers = mle(N, c, y)
 
@@ -258,6 +273,5 @@ def profile(
         except DomainError:
             return math.nan
 
-    n = round((hi - lo) / step)
-    grid = [lo + k * step for k in range(n + 1)]
+    grid = [lo + k * step for k in range(round(n) + 1)]
     return LikelihoodProfile(N, c, y, grid, [value(g) for g in grid], maximizers)

@@ -1,6 +1,6 @@
 """Numerical kernels: binomial and hypergeometric terms for the pointwise
-pmfs, and the chunked factor products behind the likelihood at real m,
-with the sums of their reciprocals and squared reciprocals.
+pmfs, the chunked factor products behind the likelihood at real m, and
+the sums of their reciprocals and squared reciprocals.
 
 The terms follow C. Loader, "Fast and Accurate Computation of Binomial
 Probabilities" (2000), the method behind R's dbinom and dhyper: the log of
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, count, islice, repeat
-from operator import mul, truediv
 
 from .errors import DomainError
 
@@ -53,15 +52,21 @@ def _psi_tails(x: float) -> tuple[float, float]:
     return t1, t2
 
 
+# A run of up to this many terms is summed term by term: measured, that
+# costs no more than the psi differences below.
+_SHORT_RUN = 12
+
+
 def _harmonic_up(b: float, n: int) -> tuple[float, float]:
     """(sum 1/x, sum 1/x**2) over x = b, b+1, ..., b+n-1, for b > 0.
 
-    Terms below 10 are added one by one; the rest is psi(a) - psi(b) and
-    psi'(b) - psi'(a) with a = b + n, whose leading parts are written as
-    log1p(n/b) and n/(ab) so that nothing cancels when n << b.
+    Terms below 10, and the last _SHORT_RUN or fewer, are added one by one;
+    the rest is psi(a) - psi(b) and psi'(b) - psi'(a) with a = b + n, whose
+    leading parts are written as log1p(n/b) and n/(ab) so that nothing
+    cancels when n << b.
     """
     s1 = s2 = 0.0
-    while n and b < 10.0:
+    while n and (b < 10.0 or n <= _SHORT_RUN):
         r = 1.0 / b
         s1 += r
         s2 += r * r
@@ -77,14 +82,12 @@ def _harmonic_up(b: float, n: int) -> tuple[float, float]:
 
 
 def _harmonic(z: float, n: int) -> tuple[float, float]:
-    """(sum_{i<n} 1/(z-i), sum_{i<n} 1/(z-i)**2) in O(1).
+    """(sum_{i<n} 1/(z-i), sum_{i<n} 1/(z-i)**2) in O(1), for finite z.
 
     A run that crosses zero is split into its positive terms and its
     negated negative terms, each summed by _harmonic_up. A zero term
-    raises DomainError. A z that is not finite gives nan sums.
+    raises DomainError.
     """
-    if not math.isfinite(z):
-        return math.nan, math.nan
     p = min(n, max(0, math.ceil(z)))  # the terms above zero, i < z
     if p < n and z == p:
         raise DomainError(f"derivative pole, walking from {z}")
@@ -96,52 +99,28 @@ def _harmonic(z: float, n: int) -> tuple[float, float]:
     return h1, h2
 
 
-# Runs longer than this take their moments from _harmonic; shorter ones are
-# cheaper to sum in the walk's one pass. Measured, the two cost the same at
-# about 16 terms for a run far from zero, 24 for one that starts just above
-# zero, and 48 for one that crosses zero.
-_ONE_PASS = 24
-
-
-def _walk(z: float, lengths, moments: int = 0) -> list[tuple]:
+def _walk(z: float, lengths) -> list[tuple[float, int]]:
     """Products of consecutive runs of the terms z, z-1, z-2, ...
 
-    _walk(m, (c, y)) gives m^(c) and (m-c)^(y). Each run is (t, e, h1, h2):
-    the product is t * 2**e with 0.5 <= |t| <= 1 (t = 0.0 at a zero term),
-    and with moments 1 or 2, h1 = sum 1/term and h2 = sum 1/term**2, where a
-    zero term raises DomainError. math.prod multiplies in C, k terms at a
-    time, and frexp renormalizes after each chunk: every term is below
-    2**x in magnitude, so k = 1022 // x of them stay below 2**1022. A run
-    of up to _ONE_PASS terms sums its moments in the same pass by
-    math.fsum; a longer run takes them from _harmonic.
+    _walk(m, (c, y)) gives m^(c) and (m-c)^(y). Each run is (t, e): the
+    product is t * 2**e with 0.5 <= |t| <= 1 (t = 0.0 at a zero term).
+    math.prod multiplies in C, k terms at a time, and frexp renormalizes
+    after each chunk: every term is below 2**x in magnitude, so k = 1022 // x
+    of them stay below 2**1022, and a single term below 2**1024 cannot
+    overflow either.
     """
     total = sum(lengths)
-    k = 1022 // max(math.frexp(abs(z) + total)[1], 1)
+    k = max(1022 // max(math.frexp(abs(z) + total)[1], 1), 1)
     terms = accumulate(repeat(-1.0, total - 1), initial=z)
     out = []
-    done = 0
     for n in lengths:
-        t, e, h1, h2 = 1.0, 0, 0.0, 0.0
-        one_pass = moments and n <= _ONE_PASS
-        if moments and not one_pass:
-            h1, h2 = _harmonic(z - done, n)
-        done += n
+        t, e = 1.0, 0
         while n > 0:
             j = n if n < k else k
             n -= j
-            chunk = islice(terms, j)
-            if one_pass:
-                chunk = list(chunk)
-                try:
-                    inv = list(map(truediv, repeat(1.0), chunk))
-                except ZeroDivisionError:
-                    raise DomainError(f"derivative pole, walking from {z}") from None
-                h1 += math.fsum(inv)
-                if moments > 1:
-                    h2 += math.fsum(map(mul, inv, inv))
-            t, x = math.frexp(math.prod(chunk, start=t))
+            t, x = math.frexp(math.prod(islice(terms, j), start=t))
             e += x
-        out.append((t, e, h1, h2))
+        out.append((t, e))
     return out
 
 

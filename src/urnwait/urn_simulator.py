@@ -70,9 +70,12 @@ class SimConfig:
     trials: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _M64:
+        for name, v in (("seed", self.seed), ("trials", self.trials)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ParameterError(f"{name} must be an integer, got {v!r}")
+        if not 0 <= self.seed <= _M64:
             raise ParameterError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials!r}")
 
 

@@ -326,6 +326,14 @@ class TestMle:
             assert code == 0
             assert calls == [(N, c, y)], extra
 
+    @pytest.mark.parametrize("spec", ["nan:11:0.5", "1:inf:0.5", "1:11:nan"])
+    def test_non_finite_grid_exit_2(self, spec, capsys):
+        code, out, err = run(
+            ["mle", "--N", "20", "--c", "3", "--y", "5", "--profile", spec], capsys
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     def test_malformed_grid_exit_2(self, capsys):
         code, _, err = run(
             ["mle", "--N", "20", "--c", "3", "--y", "0", "--profile", "3:17"],

@@ -51,6 +51,9 @@ MHAT_20_3 = {
 
 # Shapes of the benchmark's likelihood profiles, whose grid is [N/2, N-c-1].
 PROFILE_SHAPES = [(2000, 30, 200), (10001, 40, 400), (100000, 50, 2000)]
+# Short shapes, where some or all runs are summed term by term, and the
+# benchmark's profile shapes.
+EXACT_SHAPES = [(20, 3, 5), (41, 6, 8), (61, 8, 12), (400, 10, 120)] + PROFILE_SHAPES
 
 # mle inputs where the 1e-6 golden bracket ends beside the maximizer, and
 # (20, 8, 3), where N/2 is a zero of the likelihood and phi has a pole.
@@ -139,6 +142,12 @@ class TestKernelValues:
         with pytest.raises(ParameterError):
             fn(*args)
 
+    @pytest.mark.parametrize("fn", [loglik_kernel, loglik_grad, loglik_hess])
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_m(self, fn, m):
+        with pytest.raises(ParameterError):
+            fn(m, 2000, 30, 200)
+
 
 class TestDerivatives:
     def test_stationary_at_half(self):
@@ -193,19 +202,19 @@ class TestDerivatives:
 
 
 class TestAgainstExactRationals:
-    @pytest.mark.parametrize("N, c, y", PROFILE_SHAPES)
+    @pytest.mark.parametrize("N, c, y", EXACT_SHAPES)
     def test_kernel_within_2e12(self, N, c, y):
         for m in _profile_points(N, c):
             want = oracles.loglik_exact(m, N, c, y)
             assert abs(loglik_kernel(m, N, c, y) - want) <= 2e-12, m
 
-    @pytest.mark.parametrize("N, c, y", PROFILE_SHAPES)
+    @pytest.mark.parametrize("N, c, y", EXACT_SHAPES)
     def test_grad_relative(self, N, c, y):
         for m in _profile_points(N, c):
             want = oracles.grad_exact(m, N, c, y)
             assert abs(Fraction(loglik_grad(m, N, c, y)) - want) <= 1e-12 * abs(want)
 
-    @pytest.mark.parametrize("N, c, y", PROFILE_SHAPES)
+    @pytest.mark.parametrize("N, c, y", EXACT_SHAPES)
     def test_hess_relative(self, N, c, y):
         for m in _profile_points(N, c):
             want = oracles.hess_exact(m, N, c, y)
@@ -442,6 +451,21 @@ class TestProfile:
             profile(20, 3, 0, (5.0, 4.0, 0.25))
         with pytest.raises(ParameterError):
             profile(20, 3, 0, (3.0, 17.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            (math.nan, 11.0, 0.5),
+            (1.0, math.inf, 0.5),
+            (1.0, 11.0, math.nan),
+            (1.0, 11.0, math.inf),
+            (1.0, 1e300, 1e-300),  # finite ends, but no finite point count
+            (1e308, 1.7e308, 1e308),  # the last point rounds up past the float range
+        ],
+    )
+    def test_non_finite_grid_raises(self, grid):
+        with pytest.raises(ParameterError):
+            profile(20, 3, 5, grid)
 
     def test_nan_where_the_likelihood_is_undefined(self):
         # (12, 1, 10): S <= 0 at these grid points, L is defined between

@@ -42,7 +42,7 @@ def _exact_product(z: float, start: int, k: int) -> Fraction:
 
 def _product(z: float, k: int) -> tuple[float, int]:
     """z (z-1) ... (z-k+1) from _walk, as t * 2**e."""
-    ((t, e, _, _),) = kernel._walk(z, (k,))
+    ((t, e),) = kernel._walk(z, (k,))
     return t, e
 
 
@@ -79,6 +79,12 @@ class TestWalk:
         # each term is about 1e300: one term a chunk
         _assert_matches(_product(-1e300, 3), _exact_product(-1e300, 0, 3))
 
+    def test_terms_near_the_float_maximum(self):
+        # each term is above 2**1023, where 1022 // 1024 = 0 terms a chunk
+        # would never end: one term a chunk cannot overflow either
+        for z in (1.7e308, -1.7e308):
+            _assert_matches(_product(z, 3), _exact_product(z, 0, 3))
+
     @pytest.mark.parametrize("z", [5e-324, 7 * 5e-324, 1.2345e-310])
     def test_subnormal_z(self, z):
         for k in (1, 2, 5, 30):
@@ -109,24 +115,34 @@ class TestWalk:
         _assert_matches(_product(1000.5, 400), _exact_product(1000.5, 0, 400))
 
     def test_runs_are_consecutive_segments(self):
+        # the products of each run from the walk, and its sums from
+        # _harmonic at the run's first term: runs of K and K + 1 terms are
+        # summed term by term and in closed form
         z = 1300.37
-        runs = kernel._walk(z, (30, 200, 0), moments=2)
-        for (t, e, h1, h2), (start, k) in zip(runs, ((0, 30), (30, 200), (230, 0))):
+        K = kernel._SHORT_RUN
+        starts = (0, K, 2 * K + 1, 2 * K + 201)
+        lengths = (K, K + 1, 200, 0)
+        runs = kernel._walk(z, lengths)
+        for (t, e), start, k in zip(runs, starts, lengths):
             want = _exact_product(z, start, k)
             assert 0.5 <= abs(t) <= 1.0
             _assert_matches((t, e), want)
+            h1, h2 = kernel._harmonic(z - start, k)
             terms = [Fraction(z) - i for i in range(start, start + k)]
             assert h1 == pytest.approx(float(sum(1 / u for u in terms)), rel=1e-14)
             assert h2 == pytest.approx(float(sum(1 / u**2 for u in terms)), rel=1e-14)
 
     def test_zero_term(self):
-        # an exact zero term zeroes its run; with moments it is a pole
-        runs = kernel._walk(5.0, (3, 4))
-        assert runs[0][0] != 0.0 and runs[1][0] == 0.0
-        with pytest.raises(DomainError):
-            kernel._walk(5.0, (3, 4), moments=1)
-        with pytest.raises(DomainError):  # a run longer than _ONE_PASS
-            kernel._walk(30.0, (3, 40), moments=1)
+        # an exact zero term zeroes its run in the walk, and is a pole of the
+        # same run's sums, whether the run is summed term by term or not
+        K = kernel._SHORT_RUN
+        cases = ((5.0, (3, 4)), (K + 2.0, (3, K)), (K + 3.0, (3, K + 1)), (30.0, (3, 40)))
+        for z, lengths in cases:
+            runs = kernel._walk(z, lengths)
+            assert runs[0][0] != 0.0 and runs[1][0] == 0.0
+            kernel._harmonic(z, lengths[0])
+            with pytest.raises(DomainError):
+                kernel._harmonic(z - lengths[0], lengths[1])
 
 
 def _exact_moments(z: float, n: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -184,16 +200,20 @@ class TestHarmonic:
 
     @pytest.mark.parametrize("z", [1300.37, 30.5, 20.25, 7.75])
     def test_walk_runs_on_both_sides_of_the_crossover(self, z):
-        # a run of _ONE_PASS terms is summed in the walk, one more term
-        # goes to _harmonic; both agree with the same terms split in two
-        k = kernel._ONE_PASS
-        (short,) = kernel._walk(z, (k,), moments=2)
-        (long,) = kernel._walk(z, (k + 1,), moments=2)
-        (one,) = kernel._walk(z - k, (1,), moments=2)
-        assert long[2] == pytest.approx(short[2] + one[2], rel=1e-14, abs=1e-15)
-        assert long[3] == pytest.approx(short[3] + one[3], rel=1e-14)
-        _assert_moments(z, k, short[2:])
-        _assert_moments(z, k + 1, long[2:])
+        # a run of _SHORT_RUN terms is summed term by term; with one more
+        # term, the terms above 10 take the closed form. Both agree with the
+        # same terms split in two, and the walk's products of the same runs
+        # are exact
+        k = kernel._SHORT_RUN
+        short = kernel._harmonic(z, k)
+        long = kernel._harmonic(z, k + 1)
+        one = kernel._harmonic(z - k, 1)
+        assert long[0] == pytest.approx(short[0] + one[0], rel=1e-14, abs=1e-15)
+        assert long[1] == pytest.approx(short[1] + one[1], rel=1e-14)
+        _assert_moments(z, k, short)
+        _assert_moments(z, k + 1, long)
+        for n in (k, k + 1):
+            _assert_matches(_product(z, n), _exact_product(z, 0, n))
 
 
 def _pi() -> Decimal:

@@ -354,6 +354,14 @@ class TestSimConfig:
         SimConfig(seed=0, trials=1)
         SimConfig(seed=2**64 - 1, trials=1)
 
+    @pytest.mark.parametrize(
+        "seed, trials", [(True, 10), (False, 10), (1, True), (1.0, 10), (1, 2.0)]
+    )
+    def test_rejects_bools_and_non_integers(self, seed, trials):
+        # a bool is an int to isinstance; SimConfig(1, True) would run one trial
+        with pytest.raises(ParameterError):
+            SimConfig(seed=seed, trials=trials)
+
 
 class TestSingleDraws:
     def test_deterministic(self):
