@@ -37,7 +37,8 @@ from .errors import DomainError, ParameterError
 # drops below this; the truncation point is recorded on the table.
 TAIL_EPS = 1e-12
 
-# nb and maxnb tables that would need more rows than this raise DomainError.
+# nb and maxnb tables that would need more rows than this raise DomainError;
+# estimation.profile refuses grids of more points.
 _MAX_ROWS = 10**6
 
 
@@ -217,8 +218,7 @@ def maxnh_pmf(params: UrnParams, y: int) -> float:
 def maxnh_p0(params: UrnParams) -> float:
     """Pr[Y=0] of maxnh: C(N-2c, m-c) C(2c, c) / C(N, m), which is the
     hypergeometric term C(m, c) C(N-m, c) / C(N, 2c)."""
-    N, m, c = params.N, params.m, params.c
-    return math.exp(kernel._log_hyper_term(c, m, N - m, 2 * c))
+    return maxnh_pmf(params, 0)
 
 
 def exact_pmf(dist: Dist, params: UrnParams, y: int) -> Fraction:
@@ -304,7 +304,6 @@ def support(dist: Dist, params: UrnParams | BernoulliParams) -> range:
 # carried as t * 2**e, with frexp keeping t inside [_T_LO, _T_HI]: it can
 # neither underflow nor overflow, and the rescaling itself is exact.
 _T_LO, _T_HI = 2.0**-64, 2.0**64
-_LN2 = math.log(2.0)
 
 
 def _add_term(w: list[float], rows: range, e: int, ratios) -> int:
@@ -361,7 +360,7 @@ def _exponent(log_anchor: float) -> int:
     subnormal are still normal floats, so normalizing rounds them only
     once, and a row that underflows to 0.0 has a pmf below 2**-1138.
     """
-    return round(log_anchor / _LN2) + 64
+    return round(log_anchor / kernel._LN2) + 64
 
 
 def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
@@ -411,7 +410,7 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
         n = max(m, N - m) - c + 1
         w = [0.0] * n
         log_p0 = _log_comb(N - 2 * c, m - c) + _log_comb(2 * c, c) - _log_comb(N, m)
-        e = _exponent(log_p0 - _LN2)
+        e = _exponent(log_p0 - kernel._LN2)
         hi = 0
         for a in (m, N - m):
             ratios = _urn_ratios(2 * c, a - c, c + 1, N - 2 * c, n - 1)
@@ -424,7 +423,7 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
     # written below with i = c-1-y.
     w = [0.0] * (c + 1)
     lo = c
-    e = _exponent(_log_comb(m, c) + _log_comb(N - m, c) - _log_comb(N, 2 * c) - _LN2)
+    e = _exponent(_log_comb(m, c) + _log_comb(N - m, c) - _log_comb(N, 2 * c) - kernel._LN2)
     for b in (N - m, m):
         ratios = _urn_ratios(N - 2 * c + 1, c, b - c + 1, 2 * c - 1, c)
         lo = min(lo, _add_term(w, range(c, -1, -1), e, ratios))
@@ -462,8 +461,7 @@ def _tail_rows(dist: Dist, params: BernoulliParams) -> float:
         s, log_v0 = p, c * math.log(p)
     else:
         s = min(p, 1.0 - p)
-        log_binom = math.lgamma(2 * c) - math.lgamma(c) - math.lgamma(c + 1)
-        log_v0 = log_binom + c * (math.log(p) + math.log1p(-p))
+        log_v0 = _log_comb(2 * c - 1, c - 1) + c * (math.log(p) + math.log1p(-p))
     return (log_v0 - math.log(s * TAIL_EPS) - 1e-6) / -math.log1p(-s)
 
 

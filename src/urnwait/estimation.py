@@ -22,11 +22,9 @@ import math
 from dataclasses import dataclass
 
 from . import kernel
+from .distributions import _MAX_ROWS
 from .errors import DomainError, ParameterError
 
-# The search ends this far below m = N - c, where a factor of
-# D = (N-m-c)^(y) is zero and the gradient walk raises DomainError.
-EDGE_CLIP = 1e-6
 # Maximizer location tolerance.
 M_TOL = 1e-8
 
@@ -63,6 +61,8 @@ def _check_nc(N: int, c: int, y: int) -> None:
         raise ParameterError(f"no valid m exists for N={N}, c={c}")
     if y < 0:
         raise ParameterError(f"y must be nonnegative, got {y}")
+    if 2 * c + y > N:
+        raise DomainError(f"y={y} is impossible for N={N}, c={c}")
 
 
 def _check_m(m: float, N: int, c: int, y: int) -> None:
@@ -98,8 +98,6 @@ def _den(N: int, n: int) -> tuple:
 def loglik_kernel(m: float, N: int, c: int, y: int) -> float:
     """L(m), defined wherever the two-term sum is positive."""
     _check_m(m, N, c, y)
-    if 2 * c + y > N:
-        raise DomainError(f"y={y} is impossible for N={N}, c={c}")
     A, B, _, _, s, e = _parts(m, N, c, y)
     den = _den(N, 2 * c + y)
     # the binary exponents cancel as integers before any log is taken
@@ -149,10 +147,8 @@ def phi(N: int, c: int, y: int) -> float:
     return v
 
 
-# One entry: the CLI classifies (N, c, y) and then estimates m at it. A pole
-# gives nan, so that it is cached too.
-@functools.lru_cache(maxsize=1)
 def _phi(N: int, c: int, y: int) -> float:
+    """phi, or nan at a pole of phi."""
     try:
         total, squares = kernel._harmonic(N / 2 - c, y)
     except DomainError:
@@ -183,13 +179,15 @@ def classify_critical_point(N: int, c: int, y: int) -> CriticalPointReport:
 def _gradient_root(gh, lo: float, hi: float) -> float:
     """Where g = L' falls through zero on (lo, hi], for gh(m) = (L', L'').
 
-    L rises just right of lo, so g is never read there. If L still rises at
-    hi, hi is the maximizer. Otherwise Newton's method finishes from the
-    midpoint, safeguarded by bisection (rtsafe, Numerical Recipes 9.4): a
-    Newton step that would leave the bracket, or fails to halve the step
-    before last, is replaced by a bisection. It stops at a step below
-    M_TOL/100. Where gh raises DomainError (a pole of the gradient walk at
-    an integer m), g is read one float further into the bracket.
+    L rises just right of lo, so g is never read there. Nor is it read at
+    hi, where a term of the gradient walk may be zero, but one float inside:
+    if L still rises there, hi is the maximizer. Otherwise Newton's method
+    finishes on (lo, that float] from the midpoint, safeguarded by bisection
+    (rtsafe, Numerical Recipes 9.4): a Newton step that would leave the
+    bracket, or fails to halve the step before last, is replaced by a
+    bisection. It stops at a step below M_TOL/100. Where gh raises
+    DomainError (a pole of the gradient walk at an integer m), g is read one
+    float further into the bracket.
     """
 
     def read(x: float, toward: float) -> tuple[float, float, float]:
@@ -199,10 +197,10 @@ def _gradient_root(gh, lo: float, hi: float) -> float:
             except DomainError:
                 x = math.nextafter(x, toward)
 
-    hi, g, _ = read(hi, lo)
+    b, g, _ = read(math.nextafter(hi, lo), lo)
     if g > 0.0:
         return hi
-    a, b = lo, hi
+    a = lo
     x = 0.5 * (a + b)
     step = last = b - a
     while True:
@@ -241,12 +239,10 @@ def mle(N: int, c: int, y: int) -> set[float]:
     measured (every input with N <= 40), not proven.
     """
     _check_nc(N, c, y)
-    if 2 * c + y > N:
-        raise DomainError(f"y={y} is impossible for N={N}, c={c}")
     if classify_critical_point(N, c, y).classification is Classification.GLOBAL_MAX_AT_HALF:
         return {N / 2}
     lo = max(N / 2, c + y - 1)
-    m_hat = _gradient_root(lambda m: _grad_hess(m, N, c, y), lo, N - c - EDGE_CLIP)
+    m_hat = _gradient_root(lambda m: _grad_hess(m, N, c, y), lo, float(N - c))
     return {m_hat, N - m_hat}
 
 
@@ -257,7 +253,8 @@ def profile(
 
     Bad shapes and impossible y raise as in mle. A grid point where L is
     undefined (the two-term sum is not positive there) gets nan. A grid
-    whose ends, step, point count or points are not finite raises
+    whose ends, step, point count or points are not finite, or that has
+    more than _MAX_ROWS = 10**6 points, the cap on a table's rows, raises
     ParameterError.
     """
     lo, hi, step = grid_spec
@@ -265,6 +262,8 @@ def profile(
     # an end or a step that is not finite makes n or the last point not finite
     if not (math.isfinite(n) and math.isfinite(lo + round(n) * step)):
         raise ParameterError(f"bad grid {lo}:{hi}:{step}")
+    if round(n) >= _MAX_ROWS:
+        raise ParameterError(f"grid {lo}:{hi}:{step} has more than {_MAX_ROWS} points")
     maximizers = mle(N, c, y)
 
     def value(m: float) -> float:

@@ -148,6 +148,25 @@ class TestKernelValues:
         with pytest.raises(ParameterError):
             fn(m, 2000, 30, 200)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda y: phi(21, 3, y),
+            lambda y: classify_critical_point(21, 3, y),
+            lambda y: loglik_kernel(15.5, 21, 3, y),
+            lambda y: loglik_grad(15.5, 21, 3, y),
+            lambda y: loglik_hess(15.5, 21, 3, y),
+            lambda y: mle(21, 3, y),
+            lambda y: profile(21, 3, y, (3.0, 18.0, 0.5)),
+        ],
+        ids=["phi", "classify", "loglik_kernel", "loglik_grad", "loglik_hess", "mle", "profile"],
+    )
+    @pytest.mark.parametrize("y", [16, 100])
+    def test_every_function_refuses_impossible_y(self, call, y):
+        # y > N - 2c = 15 cannot be observed
+        with pytest.raises(DomainError, match="impossible"):
+            call(y)
+
 
 class TestDerivatives:
     def test_stationary_at_half(self):
@@ -337,23 +356,26 @@ class TestMleAgainstExactRoot:
 
     def test_pole_at_a_trial_point(self):
         # the gradient walk raises DomainError at an integer m where a factor
-        # of D is zero; here the first midpoint is such a pole
+        # of D is zero; here the first midpoint, halfway from 0 to one float
+        # inside the upper end, is such a pole
+        first = 0.5 * math.nextafter(1.0, 0.0)
         seen = []
 
         def gh(m):
             seen.append(m)
-            if m == 0.5:
+            if m == first:
                 raise DomainError("pole")
             return 0.3 - m, -1.0
 
         assert _gradient_root(gh, 0.0, 1.0) == pytest.approx(0.3, abs=1e-12)
-        assert 0.5 in seen
+        assert first in seen
 
     def test_pole_at_the_upper_end(self):
-        # at N = 1e11 one ulp exceeds EDGE_CLIP, so the search's upper end
-        # rounds to N - c, a pole of the gradient walk
+        # the search's upper end N - c zeroes a factor of D, a pole of the
+        # gradient walk, so L' is first read one float inside it
         N, c, y = 10**11, 1, 3
-        assert N - c - estimation.EDGE_CLIP == N - c
+        with pytest.raises(DomainError):
+            loglik_grad(float(N - c), N, c, y)
         lo, hi = sorted(mle(N, c, y))
         assert lo + hi == pytest.approx(N, abs=1e-9 * N)
         assert oracles.grad_exact(hi - 1e-3, N, c, y) > 0
@@ -395,6 +417,15 @@ class TestMleAgainstExactRoot:
             mle(N, c, y)
             assert walks <= 20, (N, c, y, walks)
 
+    @pytest.mark.parametrize("N, c, y", [(12, 1, 10), (7, 1, 5)])
+    def test_estimate_at_the_ends_of_the_band(self, N, c, y):
+        # L still rises one float inside N - c and is finite at N - c, so
+        # the estimates are the ends c and N - c exactly, as floats
+        got = mle(N, c, y)
+        assert got == {float(c), float(N - c)}
+        assert all(type(m) is float for m in got)
+        assert math.isfinite(loglik_kernel(float(N - c), N, c, y))
+
     def test_global_maximum_when_y_exceeds_half_minus_c(self):
         # L has a lesser local maximum near m = 6.66, where L = -10.96, while
         # it reaches -2.49 near m = N - c
@@ -405,16 +436,16 @@ class TestMleAgainstExactRoot:
 
     def test_global_maximum_on_a_grid(self):
         # every (N, c, y) with N <= 20: L at the estimate is at least L on a
-        # 1/32 grid of [N/2, N - c - EDGE_CLIP] and its end, and L is defined
-        # at every grid point above max(N/2, c + y - 1)
+        # 1/32 grid of [N/2, N - c], and L is defined at every grid point
+        # above max(N/2, c + y - 1), N - c included
         for N in range(2, 21):
             for c in range(1, N // 2 + 1):
                 for y in range(N - 2 * c + 1):
                     lo = max(N / 2, c + y - 1)
-                    hi = N - c - estimation.EDGE_CLIP
-                    grid = [N / 2 + k / 32 for k in range(int((hi - N / 2) * 32) + 1)]
+                    grid = [N / 2 + k / 32 for k in range((N - 2 * c) * 16 + 1)]
+                    assert grid[-1] == N - c
                     best = -math.inf
-                    for m in grid + [hi]:
+                    for m in grid:
                         try:
                             v = loglik_kernel(m, N, c, y)
                         except DomainError:
@@ -465,6 +496,13 @@ class TestProfile:
     )
     def test_non_finite_grid_raises(self, grid):
         with pytest.raises(ParameterError):
+            profile(20, 3, 5, grid)
+
+    @pytest.mark.parametrize("grid", [(0.0, 1e12, 1.0), (0.0, 1e6, 1.0)])
+    def test_refuses_more_than_a_million_points(self, grid, monkeypatch):
+        # refused before mle runs and before any point is listed
+        monkeypatch.setattr(estimation, "mle", None)
+        with pytest.raises(ParameterError, match="points"):
             profile(20, 3, 5, grid)
 
     def test_nan_where_the_likelihood_is_undefined(self):

@@ -27,6 +27,19 @@ class TestLogFactorial:
                 math.lgamma(n + 1), rel=1e-14
             )
 
+    def test_lgamma_above_twenty(self):
+        # ln(100000!) from the leading 200 bits of 100000! and its exponent
+        f = math.factorial(10**5)
+        shift = f.bit_length() - 200
+        with localcontext() as ctx:
+            ctx.prec = 60
+            want = Decimal(f >> shift).ln() + shift * Decimal(2).ln()
+            assert abs(Decimal(kernel.log_factorial(10**5)) - want) <= want * Decimal("1e-15")
+
+    def test_table_does_not_grow(self):
+        kernel.log_factorial(10**6)
+        assert len(kernel._LOG_FACT) == 21
+
     def test_negative_raises(self):
         with pytest.raises(DomainError):
             kernel.log_factorial(-1)
