@@ -570,9 +570,9 @@ def cdf(table: PmfTable, y: int) -> float:
     """Prefix-sum cdf of a tabulated distribution, correctly rounded.
 
     The prefix sums are built once per table, so each call after the
-    first is O(1).
+    first is O(1). y is checked as in pmf.
     """
-    if y < 0:
+    if not _in_support(y, math.inf):
         return 0.0
     cum = table._cum
     return cum[min(y, len(cum) - 1)]

@@ -108,12 +108,13 @@ def _grad_hess(m: float, N: int, c: int, y: int) -> tuple[float, float]:
     """(L', L'') from one walk and four runs' sums h = sum 1/(z-i) and
     q = sum 1/(z-i)^2: P'/P = h and (log P)'' = -q for a factorial
     polynomial P in z, so P''/P = h^2 - q. L' = A'/A + B'/B + (C' + D')/(C + D),
-    where B and D run in N - m, which flips the sign of their h."""
-    _, _, wc, wd, _, _ = _parts(m, N, c, y)
+    where B and D run in N - m, which flips the sign of their h. The sums
+    come first, so a pole (a zero term) raises before the walk."""
     ha, qa = kernel._harmonic(m, c)
     hc, qc = kernel._harmonic(m - c, y)
     hb, qb = kernel._harmonic(N - m, c)
     hd, qd = kernel._harmonic(N - m - c, y)
+    _, _, wc, wd, _, _ = _parts(m, N, c, y)
     v = wc * hc - wd * hd
     return ha - hb + v, wc * (hc**2 - qc) + wd * (hd**2 - qd) - v * v - qa - qb
 

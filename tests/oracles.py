@@ -182,6 +182,40 @@ def phi_exact(N: int, c: int, y: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Unimodal m ranges
+# ---------------------------------------------------------------------------
+
+
+def mode_count(probs) -> int:
+    """Local maxima of a list of masses; a plateau of exactly equal masses
+    counts once."""
+    n, count, i = len(probs), 0, 0
+    while i < n:
+        j = i
+        while j + 1 < n and probs[j + 1] == probs[j]:
+            j += 1
+        rising = i == 0 or probs[i] > probs[i - 1]
+        falling = j == n - 1 or probs[j + 1] < probs[j]
+        count += rising and falling
+        i = j + 1
+    return count
+
+
+def unimodal_scan(N: int, c: int, unimodal) -> list[tuple[int, int]]:
+    """The full-band scan: every m in c..N-c, less the point mass at
+    m = c = N/2, for which unimodal(m) holds, merged into maximal intervals."""
+    intervals: list[tuple[int, int]] = []
+    for m in range(c, N - c + 1):
+        if (N == 2 * c and m == c) or not unimodal(m):
+            continue
+        if intervals and m == intervals[-1][1] + 1:
+            intervals[-1] = (intervals[-1][0], m)
+        else:
+            intervals.append((m, m))
+    return intervals
+
+
+# ---------------------------------------------------------------------------
 # Numeric helpers
 # ---------------------------------------------------------------------------
 

@@ -212,6 +212,12 @@ class TestModes:
         assert header == "m_lo,m_hi"
         assert data == [["3", "7"]]
 
+    def test_large_population_range(self, capsys):
+        # the bisection reads 17 tables where a scan would read 49991
+        code, out, _ = run(["modes", "--N", "100000", "--c", "10"], capsys)
+        assert code == 0
+        assert out == "m_lo,m_hi\n35144,64856\n"
+
     def test_empty_scan_notes_and_exits_zero(self, capsys):
         code, out, err = run(["modes", "--N", "10", "--c", "5"], capsys)
         assert code == 0

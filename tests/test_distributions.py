@@ -251,7 +251,7 @@ class TestSymmetry:
     @given(data=st.data())
     @settings(deadline=None, max_examples=40)
     def test_maxnh_m_flip_bit_identical_to_large_n(self, parity, data):
-        # unimodal_m_range scans m <= N/2 only, on the strength of this
+        # unimodal_m_range reads m <= N/2 only, on the strength of this
         N = 2 * data.draw(st.integers(min_value=1, max_value=4999)) + parity
         m = data.draw(st.integers(min_value=1, max_value=N - 1))
         c = data.draw(st.integers(min_value=1, max_value=min(m, N - m)))
@@ -564,6 +564,14 @@ class TestCdfQuantileMean:
             assert cdf(t, y) == pytest.approx(w, abs=5e-10)
         assert cdf(t, -1) == 0.0
         assert cdf(t, 99) == pytest.approx(1.0, abs=1e-12)
+
+    def test_cdf_rejects_non_integer_y(self):
+        # as in pmf: no TypeError from the index, True is not 1, and -0.5
+        # is not a point below the support
+        t = pmf_table(Dist.MAXNH, UrnParams(15, 6, 3))
+        for y in (2.5, math.nan, True, -0.5):
+            with pytest.raises(ParameterError):
+                cdf(t, y)
 
     def test_cdf_is_the_correctly_rounded_prefix_sum(self):
         for dist, params in (

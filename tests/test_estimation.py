@@ -416,6 +416,11 @@ class TestMleAgainstExactRoot:
             walks = 0
             mle(N, c, y)
             assert walks <= 20, (N, c, y, walks)
+        # 4 of the 16 reads of (42, 1, 25) land on integer poles, which
+        # raise before their walk
+        walks = 0
+        mle(42, 1, 25)
+        assert walks == 12
 
     @pytest.mark.parametrize("N, c, y", [(12, 1, 10), (7, 1, 5)])
     def test_estimate_at_the_ends_of_the_band(self, N, c, y):

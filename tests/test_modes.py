@@ -1,21 +1,26 @@
-"""Mode detection, the (c+1)/c head ratio, and unimodality scans."""
+"""Mode detection, the (c+1)/c head ratio, and the unimodal m range."""
 
+import functools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from urnwait import (
     Dist,
     DomainError,
     ParameterError,
     PmfTable,
     UrnParams,
+    exact_pmf,
     local_modes,
     p0_p1_ratio,
     pmf_table,
+    support,
     unimodal_m_range,
 )
+from urnwait import modes
 
 _DUMMY = UrnParams(15, 6, 3)
 
@@ -26,6 +31,10 @@ def _table(probs):
 
 def _maxnh_table(N, m, c):
     return pmf_table(Dist.MAXNH, UrnParams(N, m, c))
+
+
+def _unimodal(N, c):
+    return lambda m: local_modes(_maxnh_table(N, m, c)).is_unimodal
 
 
 @st.composite
@@ -141,19 +150,49 @@ class TestUnimodalRange:
 
     @pytest.mark.parametrize("N,c", [(50, 5), (100, 5), (250, 10), (51, 4)])
     def test_half_band_scan_equals_the_full_band(self, N, c):
-        good = [
-            m
-            for m in range(c, N - c + 1)
-            if not (N == 2 * c and m == c)
-            and local_modes(_maxnh_table(N, m, c)).is_unimodal
-        ]
-        intervals = []
-        for m in good:
-            if intervals and m == intervals[-1][1] + 1:
-                intervals[-1] = (intervals[-1][0], m)
-            else:
-                intervals.append((m, m))
-        assert unimodal_m_range(N, c) == intervals
+        # the bisection reads m <= N/2 only; (250, 10) lies past the sweep below
+        assert unimodal_m_range(N, c) == oracles.unimodal_scan(N, c, _unimodal(N, c))
+
+    def test_every_small_population_equals_the_full_band(self):
+        for N in range(2, 101):
+            for c in range(1, N // 2 + 1):
+                assert unimodal_m_range(N, c) == oracles.unimodal_scan(
+                    N, c, _unimodal(N, c)
+                ), (N, c)
+
+    def test_exact_verdicts_are_monotone_and_agree(self):
+        # exact rationals and exact ties, no EQ_RTOL: below N/2 the verdict
+        # only turns from bimodal to unimodal, which is what the bisection
+        # needs, and the float answer is the exact one
+        for N in range(2, 41):
+            for c in range(1, N // 2 + 1):
+
+                @functools.cache
+                def exact(m):
+                    params = UrnParams(N, m, c)
+                    probs = [
+                        exact_pmf(Dist.MAXNH, params, y)
+                        for y in support(Dist.MAXNH, params)
+                    ]
+                    return oracles.mode_count(probs) == 1
+
+                half = [exact(m) for m in range(c, N // 2 + 1) if N != 2 * c or m != c]
+                assert half == sorted(half), (N, c)
+                want = oracles.unimodal_scan(N, c, exact)
+                assert unimodal_m_range(N, c) == want, (N, c)
+
+    def test_large_population_in_few_tables(self, monkeypatch):
+        tables = 0
+        build = modes.pmf_table
+
+        def counted(*args):
+            nonlocal tables
+            tables += 1
+            return build(*args)
+
+        monkeypatch.setattr(modes, "pmf_table", counted)
+        assert unimodal_m_range(100_000, 10) == [(35144, 64856)]
+        assert tables <= 17
 
     def test_rejects_impossible_shapes(self):
         with pytest.raises(ParameterError):
@@ -162,3 +201,5 @@ class TestUnimodalRange:
             unimodal_m_range(10, 0)
         with pytest.raises(ParameterError):
             unimodal_m_range(10.0, 2)
+        with pytest.raises(ParameterError):
+            unimodal_m_range(2, True)
