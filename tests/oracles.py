@@ -150,6 +150,18 @@ def log_rational(x: Fraction) -> float:
     return math.log(x / Fraction(2) ** shift) + shift * math.log(2.0)
 
 
+def log_ratio_exact(m: float, N: int, c: int, y: int) -> tuple[float, int]:
+    """(ln C - ln|D|, sign D) for C = (m-c)^(y) > 0 and D = (N-m-c)^(y) at
+    the float m = p/q, from exact integer products: each factor is
+    (integer)/q, and the common q^y cancels. D = 0 gives (inf, 0)."""
+    p, q = Fraction(m).as_integer_ratio()
+    C = math.prod(p - (c + i) * q for i in range(y))
+    D = math.prod((N - c - i) * q - p for i in range(y))
+    if D == 0:
+        return math.inf, 0
+    return log_rational(Fraction(C, abs(D))), 1 if D > 0 else -1
+
+
 def loglik_exact(m: float, N: int, c: int, y: int) -> float:
     """L(m) = ln(S / N^(2c+y)) from the exact rational likelihood."""
     s, _, _, scale = _likelihood_jet(m, N, c, y)

@@ -260,6 +260,12 @@ class TestMle:
             assert code == 0
             assert out.splitlines()[1:] == [line], (N, c, y)
 
+    def test_large_population(self, capsys):
+        # every Newton read takes O(1) here; walking at each read took 3.6 s
+        code, out, _ = run(["mle", "--N", "10000000", "--c", "5", "--y", "3000000"], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == ["16.1605475;9999983.84,0.41979544,local_min_at_half"]
+
     def test_profile_grid(self, capsys):
         code, out, err = run(
             ["mle", "--N", "20", "--c", "3", "--y", "0", "--profile", "3:17:0.25"],

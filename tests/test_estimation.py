@@ -60,6 +60,57 @@ EXACT_SHAPES = [(20, 3, 5), (41, 6, 8), (61, 8, 12), (400, 10, 120)] + PROFILE_S
 MLE_EXACT_CASES = [(2000, 30, 200), (2001, 29, 201), (10001, 40, 400), (20, 8, 3)]
 
 
+# The upper estimate of mle on the benchmark's 44 request shapes (classes
+# mle.half, mle.N20_61, mle.N2000, mle.N1e4 and mle.N1e5), as the product
+# walk gave it at every read. The estimate set is {m_hat, N - m_hat}.
+BENCHMARK_MLE = {
+    (2000, 30, 2): 1000.0,
+    (2000, 31, 1): 1000.0,
+    (2000, 32, 0): 1000.0,
+    (2001, 30, 2): 1000.5,
+    (2001, 31, 1): 1000.5,
+    (2001, 32, 0): 1000.5,
+    (20, 2, 6): 16.32108264876909,
+    (20, 3, 5): 14.78638306378958,
+    (20, 4, 4): 13.511126278828048,
+    (21, 2, 6): 17.119675117512923,
+    (21, 3, 5): 15.512758066571136,
+    (21, 4, 4): 14.173861670778692,
+    (40, 4, 10): 31.397927258645872,
+    (40, 5, 9): 29.717602736851937,
+    (40, 6, 8): 28.20569172694625,
+    (41, 4, 10): 32.17539005626532,
+    (41, 5, 9): 30.454188198434316,
+    (41, 6, 8): 28.905476889622435,
+    (60, 6, 14): 46.428746728316895,
+    (60, 7, 13): 44.68996050396829,
+    (60, 8, 12): 43.07550702180577,
+    (61, 6, 14): 47.19784472498446,
+    (61, 7, 13): 45.430586556083156,
+    (61, 8, 12): 43.78969218589577,
+    (2000, 28, 202): 1783.3375712645366,
+    (2000, 29, 201): 1776.4501561555323,
+    (2000, 30, 200): 1769.6157219019674,
+    (2000, 31, 199): 1762.8336594570724,
+    (2000, 32, 198): 1756.1033690813954,
+    (2001, 28, 202): 1784.2290439376602,
+    (2001, 29, 201): 1777.3381868552801,
+    (2001, 30, 200): 1770.500337104663,
+    (2001, 31, 199): 1763.7148853347524,
+    (2001, 32, 198): 1756.9812315064494,
+    (10001, 38, 402): 9206.3620228414,
+    (10001, 39, 401): 9187.141014185603,
+    (10001, 40, 400): 9168.000093181772,
+    (10001, 41, 399): 9148.938760314253,
+    (10001, 42, 398): 9129.956520213556,
+    (100000, 48, 2002): 97712.58392537003,
+    (100000, 49, 2001): 97666.0317169704,
+    (100000, 50, 2000): 97619.52384403603,
+    (100000, 51, 1999): 97573.06024325895,
+    (100000, 52, 1998): 97526.64085145187,
+}
+
+
 def _profile_points(N, c, count=5):
     """count real m spread over the profile range, off the integers."""
     lo, hi = N / 2, N - c - 1
@@ -79,6 +130,35 @@ def _random_band_tuples(count, seed=20260816):
             continue
         m = rng.uniform(lo + 0.25, hi - 0.25)
         out.append((m, N, c, y))
+    return out
+
+
+def _log_ratio_points(kind, count=60, seed=18):
+    """count points (m, N, c, y) on (c + y - 1, N - c] with N <= 10**4, of
+    one kind: anywhere, where D's run crosses zero (x = N - m - c < y - 1),
+    a few ulps from an integer x < y (a zero of D), or at x = 0."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        N = rng.choice((rng.randint(2, 60), rng.randint(2, 10_000)))
+        c = rng.randint(1, N // 2)
+        y = rng.randint(0, N - 2 * c)
+        lo, hi = c + y - 1, N - c
+        span = min(y, hi - lo)  # the integers x < y with m = N - c - x > lo
+        if kind == "anywhere":
+            m = rng.uniform(lo, hi)
+        elif kind == "crossing" and span > 1:
+            m = hi - rng.uniform(0.0, span - 1)
+        elif kind == "pole" and span > 0:
+            m = float(hi - rng.randrange(span))
+            for _ in range(rng.randint(1, 4)):
+                m = math.nextafter(m, rng.choice((lo, hi)))
+        elif kind == "x0":
+            m = float(hi)
+        else:
+            continue
+        if lo < m <= hi:
+            out.append((m, N, c, y))
     return out
 
 
@@ -238,6 +318,23 @@ class TestAgainstExactRationals:
         for m in _profile_points(N, c):
             want = oracles.hess_exact(m, N, c, y)
             assert abs(Fraction(loglik_hess(m, N, c, y)) - want) <= 1e-12 * abs(want)
+
+
+class TestLogRatio:
+    """r = ln C - ln|D| and s = sign D from lgamma, against exact rational
+    products of the float m, within the bound _log_ratio states."""
+
+    @pytest.mark.parametrize("kind", ["anywhere", "crossing", "pole", "x0"])
+    def test_within_the_stated_bound(self, kind):
+        for m, N, c, y in _log_ratio_points(kind):
+            r, s, err = estimation._log_ratio(m, N, c, y)
+            want, sign = oracles.log_ratio_exact(m, N, c, y)
+            assert s == sign, (m, N, c, y)
+            if math.isinf(want):
+                # x = 0 zeroes D: its weight is exactly 0
+                assert r == want and s * math.exp(-r) == 0.0, (m, N, c, y)
+            else:
+                assert abs(r - want) <= err, (m, N, c, y, r - want, err)
 
 
 class TestPhi:
@@ -417,10 +514,29 @@ class TestMleAgainstExactRoot:
             mle(N, c, y)
             assert walks <= 20, (N, c, y, walks)
         # 4 of the 16 reads of (42, 1, 25) land on integer poles, which
-        # raise before their walk
+        # raise before their walk, and 5 take their weights from r
         walks = 0
         mle(42, 1, 25)
-        assert walks == 12
+        assert walks == 7
+
+    @pytest.mark.parametrize(
+        "N, c, y, hi",
+        [
+            (10**8, 5, 3 * 10**7, 99999983.839404),
+            (10**7, 5, 3 * 10**6, 9999983.839452518),
+            (10**6, 100, 5 * 10**5, 999800.580393376),
+        ],
+    )
+    def test_large_inputs_take_no_walk(self, N, c, y, hi, monkeypatch):
+        # every read takes its weights from r in O(1), so a walk, which
+        # would call None here, never runs; walking at every read took 43 s
+        # at N = 10**8 and gave the same estimate
+        monkeypatch.setattr(estimation, "_parts", None)
+        assert mle(N, c, y) == {hi, N - hi}
+
+    def test_benchmark_shapes_are_pinned(self):
+        for (N, c, y), hi in BENCHMARK_MLE.items():
+            assert mle(N, c, y) == {hi, N - hi}, (N, c, y)
 
     @pytest.mark.parametrize("N, c, y", [(12, 1, 10), (7, 1, 5)])
     def test_estimate_at_the_ends_of_the_band(self, N, c, y):
