@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .distributions import (
     BernoulliParams,
     Dist,
     UrnParams,
+    _check_params,
+    _int,
+    _member,
     maxnb_pmf,
     pmf_table,
 )
@@ -46,6 +49,7 @@ class ApproxSpec:
 
 def maxnb_limit(params: UrnParams) -> BernoulliParams:
     """Bernoulli-population parameters approached as N grows: (c, p=m/N)."""
+    _check_params(Dist.MAXNH, params)
     return BernoulliParams(params.c, params.m / params.N)
 
 
@@ -57,6 +61,8 @@ def gamma_approx_density(params: UrnParams, y: int) -> float:
     small-m figure regimes evaluate as printed. Evaluated in log space, so
     (c-1)! and x^(c-1) cannot overflow.
     """
+    _check_params(Dist.MAXNH, params)
+    _int("y", y)
     N, m, c = params.N, params.m, params.c
     root = math.sqrt(N)
     theta = m / root
@@ -69,9 +75,8 @@ def gamma_approx_density(params: UrnParams, y: int) -> float:
 def halfnormal_approx_density(c: int, y: int) -> float:
     """Half-normal density for the balanced urn: scale sqrt(2c), x = y/scale;
     0 for y < 0, outside the support."""
-    if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-        raise ParameterError(f"c must be an integer >= 1, got {c!r}")
-    if y < 0:
+    _int("c", c, 1)
+    if _int("y", y) < 0:
         return 0.0
     scale = math.sqrt(2 * c)
     x = y / scale
@@ -85,6 +90,7 @@ def normal_approx_params(params: UrnParams) -> tuple[float, float]:
     mu = c(p-q)/q and sigma = sqrt(cp)/q. The balanced urn has no such
     limit; use the half-normal instead.
     """
+    _check_params(Dist.MAXNH, params)
     N, m, c = params.N, params.m, params.c
     if 2 * m == N:
         raise DomainError("m = N/2 has mu = 0; the balanced limit is half-normal")
@@ -93,8 +99,15 @@ def normal_approx_params(params: UrnParams) -> tuple[float, float]:
     return c * (p - q) / q, math.sqrt(c * p) / q
 
 
-def approx_spec(kind: ApproxKind, params: UrnParams) -> ApproxSpec:
-    """Derive the kind-specific parameters from an urn configuration."""
+def approx_spec(kind: ApproxKind | str, params: UrnParams) -> ApproxSpec:
+    """Derive the kind-specific parameters from an urn configuration.
+
+    kind is an ApproxKind member or its value, such as "gamma_limit"; the
+    spec holds the member. Anything else, or params that are not
+    UrnParams, raises ParameterError.
+    """
+    kind = _member(ApproxKind, kind)
+    _check_params(Dist.MAXNH, params)
     if kind is ApproxKind.MAXNB_LIMIT:
         bp = maxnb_limit(params)
         return ApproxSpec(kind, {"c": float(bp.c), "p": bp.p})
@@ -130,11 +143,15 @@ def convergence_sweep(
     regime maps a population size to its urn parameters (the figure regimes
     are callables like N -> UrnParams(N, 2*N//5, 3)). The approximation is
     discretized over the exact support and renormalized there before the
-    distance is taken.
+    distance is taken. kind is read as in approx_spec; regime must be
+    callable, sizes a sequence of ints, and regime(size) UrnParams.
     """
+    kind = _member(ApproxKind, kind)
+    if not (callable(regime) and isinstance(sizes, Sequence)):
+        raise ParameterError("convergence_sweep takes a callable regime and a sequence of sizes")
     out = []
     for size in sizes:
-        params = regime(size)
+        params = regime(_int("size", size))
         exact = pmf_table(Dist.MAXNH, params)
         approx = _approx_values(kind, params, exact.ys)
         total = math.fsum(approx)

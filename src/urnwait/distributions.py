@@ -51,12 +51,51 @@ class Dist(str, enum.Enum):
     MINNH = "minnh"
 
 
+# ---------------------------------------------------------------------------
+# Input rules, each written once (README, "Input checks")
+# ---------------------------------------------------------------------------
+
+
+def _int(name: str, v, lo: int | None = None) -> int:
+    """v, if it is an int, not a bool, and at least lo; else ParameterError."""
+    if not isinstance(v, int) or isinstance(v, bool) or (lo is not None and v < lo):
+        least = "" if lo is None else f" >= {lo}"
+        raise ParameterError(f"{name} must be an integer{least}, got {v!r}")
+    return v
+
+
+def _real(name: str, v) -> int | float:
+    """v, if it is an int or a float; otherwise ParameterError."""
+    if not isinstance(v, (int, float)):
+        raise ParameterError(f"{name} must be a number, got {v!r}")
+    return v
+
+
+def _member(kind: type[enum.Enum], v):
+    """v as a member of kind: a member passes, its value is converted, and
+    anything else raises ParameterError."""
+    if type(v) is kind:
+        return v
+    try:
+        return kind(v)
+    except ValueError:
+        names = ", ".join(k.value for k in kind)
+        raise ParameterError(f"unknown {kind.__name__} {v!r}: use one of {names}") from None
+
+
+def _check_band(N: int, c: int) -> None:
+    """The (N, c) band in which some m is valid: integers, 1 <= c <= N - c."""
+    N, c = _int("N", N), _int("c", c)
+    if not 1 <= c <= N - c:
+        raise ParameterError(f"no valid m exists for N={N}, c={c}")
+
+
 @dataclass(frozen=True)
 class UrnParams:
     """Finite population: N balls, m of the first color, target count c.
 
-    Constraints: 1 <= c <= m < N and c <= N - m, so that c balls of both
-    colors exist. Invalid triples are rejected at construction.
+    Constraints: 1 <= c <= min(m, N - m), so that c balls of both colors
+    exist. Invalid triples are rejected at construction.
     """
 
     N: int
@@ -64,18 +103,9 @@ class UrnParams:
     c: int
 
     def __post_init__(self) -> None:
-        for name in ("N", "m", "c"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ParameterError(f"{name} must be an integer, got {v!r}")
-        if not 1 <= self.c <= self.m < self.N:
-            raise ParameterError(
-                f"need 1 <= c <= m < N, got c={self.c}, m={self.m}, N={self.N}"
-            )
-        if self.c > self.N - self.m:
-            raise ParameterError(
-                f"need c <= N - m, got c={self.c}, N-m={self.N - self.m}"
-            )
+        N, m, c = (_int(name, getattr(self, name)) for name in ("N", "m", "c"))
+        if not 1 <= c <= min(m, N - m):
+            raise ParameterError(f"need 1 <= c <= min(m, N - m), got N={N}, m={m}, c={c}")
 
 
 @dataclass(frozen=True)
@@ -86,9 +116,8 @@ class BernoulliParams:
     p: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.c, int) or isinstance(self.c, bool) or self.c < 1:
-            raise ParameterError(f"c must be an integer >= 1, got {self.c!r}")
-        if not 0.0 < self.p < 1.0:
+        _int("c", self.c, 1)
+        if not 0.0 < _real("p", self.p) < 1.0:
             raise ParameterError(f"p must lie strictly in (0, 1), got {self.p!r}")
 
 
@@ -128,11 +157,40 @@ class PmfTable:
         return out
 
 
-def _in_support(y: int, top: float) -> bool:
-    """Whether 0 <= y <= top; y must be an int, as in UrnParams."""
-    if not isinstance(y, int) or isinstance(y, bool):
-        raise ParameterError(f"y must be an integer, got {y!r}")
-    return 0 <= y <= top
+def _table(t) -> PmfTable:
+    """t, if it is a PmfTable; otherwise ParameterError."""
+    if not isinstance(t, PmfTable):
+        raise ParameterError(f"expected a PmfTable, got {t!r}")
+    return t
+
+
+URN_DISTS = (Dist.NH, Dist.MINNH, Dist.MAXNH)
+
+
+def _check_params(dist: Dist | str, params: UrnParams | BernoulliParams) -> Dist:
+    """dist as a Dist member (_member), once params is of the type it takes."""
+    dist = _member(Dist, dist)
+    want = UrnParams if dist in URN_DISTS else BernoulliParams
+    if not isinstance(params, want):
+        raise ParameterError(f"{dist.value} takes {want.__name__}, got {params!r}")
+    return dist
+
+
+def _last_y(dist: Dist, params: UrnParams | BernoulliParams) -> float:
+    """The largest y in the support: math.inf for nb and maxnb."""
+    if dist in (Dist.NB, Dist.MAXNB):
+        return math.inf
+    if dist in (Dist.MINNB, Dist.MINNH):
+        return params.c - 1
+    N, m, c = params.N, params.m, params.c
+    return N - m if dist is Dist.NH else max(m, N - m) - c
+
+
+def _in_support(dist: Dist, params: UrnParams | BernoulliParams, y: int) -> bool:
+    """Whether y, which must be an int, lies in the support, once params
+    are checked against dist."""
+    last = _last_y(_check_params(dist, params), params)
+    return 0 <= _int("y", y) <= last
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +202,7 @@ def _in_support(y: int, top: float) -> bool:
 def nb_pmf(params: BernoulliParams, y: int) -> float:
     """Failures before the c-th success: C(c+y-1, c-1) p^c q^y, which is p
     times the binomial term of c-1 successes in c+y-1 trials."""
-    if not _in_support(y, math.inf):
+    if not _in_support(Dist.NB, params, y):
         return 0.0
     c, p = params.c, params.p
     return p * math.exp(kernel._log_binom_term(c - 1, c + y - 1, p))
@@ -153,7 +211,7 @@ def nb_pmf(params: BernoulliParams, y: int) -> float:
 def maxnb_pmf(params: BernoulliParams, y: int) -> float:
     """Draws beyond 2c to see c of both outcomes: C(2c+y-1, c-1)(p^y + q^y)(pq)^c,
     which is c/(2c+y) times the binomial terms of c+y and c successes in 2c+y."""
-    if not _in_support(y, math.inf):
+    if not _in_support(Dist.MAXNB, params, y):
         return 0.0
     c, p = params.c, params.p
     n, b = 2 * c + y, kernel._log_binom_term
@@ -163,9 +221,9 @@ def maxnb_pmf(params: BernoulliParams, y: int) -> float:
 def minnb_pmf(params: BernoulliParams, y: int) -> float:
     """Draws beyond c to see c of either outcome: C(c+y-1, c-1)(p^c q^y + p^y q^c),
     which is c/(c+y) times the binomial terms of c and y successes in c+y."""
-    c, p = params.c, params.p
-    if not _in_support(y, c - 1):
+    if not _in_support(Dist.MINNB, params, y):
         return 0.0
+    c, p = params.c, params.p
     n, b = c + y, kernel._log_binom_term
     return c / n * (math.exp(b(c, n, p)) + math.exp(b(y, n, p)))
 
@@ -177,9 +235,9 @@ def nh_pmf(params: UrnParams, y: int) -> float:
     hypergeometric term of c-1 successes in c+y-1 draws, times the chance
     (m-c+1)/(N-c-y+1) that the next draw is a success.
     """
-    N, m, c = params.N, params.m, params.c
-    if not _in_support(y, N - m):
+    if not _in_support(Dist.NH, params, y):
         return 0.0
+    N, m, c = params.N, params.m, params.c
     h = math.exp(kernel._log_hyper_term(c - 1, m, N - m, c + y - 1))
     return h * (m - c + 1) / (N - c - y + 1)
 
@@ -192,9 +250,9 @@ def minnh_pmf(params: UrnParams, y: int) -> float:
 
     c/(c+y) times the hypergeometric terms of c and y first-color balls.
     """
-    N, m, c = params.N, params.m, params.c
-    if not _in_support(y, c - 1):
+    if not _in_support(Dist.MINNH, params, y):
         return 0.0
+    N, m, c = params.N, params.m, params.c
     n, h = c + y, kernel._log_hyper_term
     return c / n * (math.exp(h(c, m, N - m, n)) + math.exp(h(y, m, N - m, n)))
 
@@ -208,9 +266,9 @@ def maxnh_pmf(params: UrnParams, y: int) -> float:
     c+y and c first-color balls in 2c+y draws. The tests hold pmf_table's
     rows to _maxnh_pmf_binom, an lgamma evaluation of this form.
     """
-    N, m, c = params.N, params.m, params.c
-    if not _in_support(y, max(m - c, N - m - c)):
+    if not _in_support(Dist.MAXNH, params, y):
         return 0.0
+    N, m, c = params.N, params.m, params.c
     n, h = 2 * c + y, kernel._log_hyper_term
     return c / n * (math.exp(h(c + y, m, N - m, n)) + math.exp(h(c, m, N - m, n)))
 
@@ -221,36 +279,34 @@ def maxnh_p0(params: UrnParams) -> float:
     return maxnh_pmf(params, 0)
 
 
-def exact_pmf(dist: Dist, params: UrnParams, y: int) -> Fraction:
+def exact_pmf(dist: Dist | str, params: UrnParams, y: int) -> Fraction:
     """Exact rational pmf for the urn distributions (big-integer path).
 
     Test-oracle companion of the float pmfs; only nh, minnh, and maxnh have
-    rational masses. y is checked as in pmf.
+    rational masses; any other law raises ParameterError. dist, params and
+    y are checked as in pmf.
     """
+    dist = _member(Dist, dist)
+    if dist not in URN_DISTS:
+        raise ParameterError(f"{dist.value} has no exact rational pmf")
+    if not _in_support(dist, params, y):
+        return Fraction(0)
     N, m, c = params.N, params.m, params.c
     if dist is Dist.NH:
-        if not _in_support(y, N - m):
-            return Fraction(0)
         # C(N-c-y, m-c) / C(N, m), as falling factorials of length c+y
         num = math.comb(c + y - 1, c - 1) * math.perm(m, c) * math.perm(N - m, y)
         return Fraction(num, math.perm(N, c + y))
     if dist is Dist.MINNH:
-        if not _in_support(y, c - 1):
-            return Fraction(0)
         num = math.comb(c + y - 1, c - 1) * (
             math.comb(m, c) * math.comb(N - m, y)
             + math.comb(m, y) * math.comb(N - m, c)
         )
         return Fraction(num, math.comb(c + y, c) * math.comb(N, c + y))
-    if dist is Dist.MAXNH:
-        if not _in_support(y, max(m - c, N - m - c)):
-            return Fraction(0)
-        num = math.comb(2 * c + y - 1, c - 1) * (
-            math.perm(m, c + y) * math.perm(N - m, c)
-            + math.perm(m, c) * math.perm(N - m, c + y)
-        )
-        return Fraction(num, math.perm(N, 2 * c + y))
-    raise ParameterError(f"{dist.value} has no exact rational pmf")
+    num = math.comb(2 * c + y - 1, c - 1) * (
+        math.perm(m, c + y) * math.perm(N - m, c)
+        + math.perm(m, c) * math.perm(N - m, c + y)
+    )
+    return Fraction(num, math.perm(N, 2 * c + y))
 
 
 # ---------------------------------------------------------------------------
@@ -266,36 +322,28 @@ _PMF = {
     Dist.MINNH: minnh_pmf,
 }
 
-URN_DISTS = (Dist.NH, Dist.MINNH, Dist.MAXNH)
+
+def pmf(dist: Dist | str, params: UrnParams | BernoulliParams, y: int) -> float:
+    """The named law's pmf at y, 0.0 outside its support.
+
+    dist is a Dist member or its value; params must be of the type the law
+    takes, and y an int (README, "Input checks").
+    """
+    return _PMF[_member(Dist, dist)](params, y)
 
 
-def _check_params(dist: Dist, params: UrnParams | BernoulliParams) -> None:
-    want = UrnParams if dist in URN_DISTS else BernoulliParams
-    if not isinstance(params, want):
-        raise ParameterError(f"{dist.value} takes {want.__name__}")
-
-
-def pmf(dist: Dist, params: UrnParams | BernoulliParams, y: int) -> float:
-    """Dispatch to the named distribution's pmf."""
-    _check_params(dist, params)
-    return _PMF[dist](params, y)
-
-
-def support(dist: Dist, params: UrnParams | BernoulliParams) -> range:
+def support(dist: Dist | str, params: UrnParams | BernoulliParams) -> range:
     """Closed-form support, or the truncated range for infinite supports.
 
     For nb and maxnb this is the range of pmf_table's rows, so that the
-    truncation rule has one definition.
+    truncation rule has one definition. dist and params are checked as in
+    pmf.
     """
-    _check_params(dist, params)
-    if dist is Dist.NH:
-        return range(0, params.N - params.m + 1)
-    if dist is Dist.MAXNH:
-        N, m, c = params.N, params.m, params.c
-        return range(0, max(m - c, N - m - c) + 1)
-    if dist in (Dist.MINNH, Dist.MINNB):
-        return range(0, params.c)
-    return range(0, len(pmf_table(dist, params).ys))
+    dist = _check_params(dist, params)
+    last = _last_y(dist, params)
+    if last == math.inf:
+        return range(0, len(pmf_table(dist, params).ys))
+    return range(0, last + 1)
 
 
 # Every law is a sum of one or two terms, and each term's ratio between
@@ -368,8 +416,10 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
     span lo:hi outside which every row is 0.0.
 
     The anchor values come from lgamma, which only sets the scale: the
-    rows are normalized afterwards.
+    rows are normalized afterwards. minnb and minnh recur down from their
+    anchor row y = n = c, one past the support, which is dropped.
     """
+    n = _last_y(dist, params) + 1
     if dist is Dist.MINNB:
         # Both terms equal C(2c-1, c-1) (pq)^c at y = c, one row past the
         # support. Recur down from there: p(y)/p(y+1) = (y+1) / ((c+y) f),
@@ -377,8 +427,8 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
         # taken as the exact rational pn/pd that the float holds.
         c, p = params.c, params.p
         pn, pd = p.as_integer_ratio()
-        w = [0.0] * (c + 1)
-        lo = c
+        w = [0.0] * (n + 1)
+        lo = n
         log_pq = c * math.log(p * (1.0 - p))
         for fn in (pd - pn, pn):
             # At subnormal f a ratio into row k-1 can pass 2**1023, so this
@@ -393,12 +443,11 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
             ratios = map(truediv, range(top * pd, 0, -pd), dens)
             e = _exponent(_log_comb(c + top - 1, c - 1) + log_pq - (c - top) * log_f)
             lo = min(lo, _add_term(w, range(top, -1, -1), e, ratios))
-        w.pop()  # the anchor row y = c
-        return w, lo + 1, c
+        w.pop()
+        return w, lo + 1, n
     N, m, c = params.N, params.m, params.c
     if dist is Dist.NH:
         # p(y+1)/p(y) = (c+y)(N-m-y) / ((y+1)(N-c-y)), from p(0) = C(m,c)/C(N,c).
-        n = N - m + 1
         w = [0.0] * n
         e = _exponent(_log_comb(m, c) - _log_comb(N, c))
         ratios = _urn_ratios(c, N - m, 1, N - c, n - 1)
@@ -407,7 +456,6 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
         # Both terms equal p(0)/2 = C(N-2c, m-c) C(2c, c) / (2 C(N, m)) at
         # y = 0; the term for color count a has ratio
         # (2c+y)(a-c-y) / ((c+y+1)(N-2c-y)), which reaches 0 past y = a-c.
-        n = max(m, N - m) - c + 1
         w = [0.0] * n
         log_p0 = _log_comb(N - 2 * c, m - c) + _log_comb(2 * c, c) - _log_comb(N, m)
         e = _exponent(log_p0 - kernel._LN2)
@@ -421,14 +469,14 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
     # C(m,c) C(N-m,c) / (2 C(N,2c)) at y = c, one row past the support; with
     # b the other color's count, p(y)/p(y+1) = (y+1)(N-c-y) / ((c+y)(b-y)),
     # written below with i = c-1-y.
-    w = [0.0] * (c + 1)
-    lo = c
+    w = [0.0] * (n + 1)
+    lo = n
     e = _exponent(_log_comb(m, c) + _log_comb(N - m, c) - _log_comb(N, 2 * c) - kernel._LN2)
     for b in (N - m, m):
         ratios = _urn_ratios(N - 2 * c + 1, c, b - c + 1, 2 * c - 1, c)
-        lo = min(lo, _add_term(w, range(c, -1, -1), e, ratios))
-    w.pop()  # the anchor row y = c
-    return w, lo + 1, c
+        lo = min(lo, _add_term(w, range(n, -1, -1), e, ratios))
+    w.pop()
+    return w, lo + 1, n
 
 
 def _rows_capped(dist: Dist, params: BernoulliParams) -> bool:
@@ -543,8 +591,11 @@ def _maxnh_pmf_binom(params: UrnParams, y: int) -> float:
     return c / (2 * c + y) * s
 
 
-def pmf_table(dist: Dist, params: UrnParams | BernoulliParams) -> PmfTable:
+def pmf_table(dist: Dist | str, params: UrnParams | BernoulliParams) -> PmfTable:
     """Tabulate the pmf over its full (or truncated) support.
+
+    dist and params are checked as in pmf, and the table's dist is the
+    Dist member even where dist is its value.
 
     Rows come from each law's exact ratio p(y+1)/p(y), in plain floats (see
     README, "How tables are computed"). Finite supports are normalized by
@@ -553,7 +604,7 @@ def pmf_table(dist: Dist, params: UrnParams | BernoulliParams) -> PmfTable:
     sum p(y) r/(1-r) is below TAIL_EPS; one that would need more than
     10**6 rows raises DomainError.
     """
-    _check_params(dist, params)
+    dist = _check_params(dist, params)
     if dist in (Dist.NB, Dist.MAXNB):
         probs = _open_rows(dist, params)
         trunc = len(probs) - 1
@@ -572,7 +623,8 @@ def cdf(table: PmfTable, y: int) -> float:
     The prefix sums are built once per table, so each call after the
     first is O(1). y is checked as in pmf.
     """
-    if not _in_support(y, math.inf):
+    _table(table)
+    if _int("y", y) < 0:
         return 0.0
     cum = table._cum
     return cum[min(y, len(cum) - 1)]
@@ -581,12 +633,12 @@ def cdf(table: PmfTable, y: int) -> float:
 def quantile(table: PmfTable, u: float) -> int:
     """Smallest y with cdf(y) >= u; the last y if float shortfall keeps
     every cdf below u."""
-    if not 0.0 <= u <= 1.0:
+    if not 0.0 <= _real("u", u) <= 1.0:
         raise DomainError(f"quantile level must lie in [0, 1], got {u!r}")
-    i = bisect.bisect_left(table._cum, u)
+    i = bisect.bisect_left(_table(table)._cum, u)
     return table.ys[min(i, len(table.ys) - 1)]
 
 
 def mean(table: PmfTable) -> float:
     """Sum of y * p(y) over the table."""
-    return math.fsum(map(mul, table.ys, table.probs))
+    return math.fsum(map(mul, _table(table).ys, table.probs))

@@ -19,10 +19,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import kernel
-from .distributions import _MAX_ROWS
+from .distributions import _MAX_ROWS, _check_band, _int, _real
 from .errors import DomainError, ParameterError
 
 # Maximizer location tolerance.
@@ -54,20 +55,14 @@ class LikelihoodProfile:
 
 
 def _check_nc(N: int, c: int, y: int) -> None:
-    for name, v in (("N", N), ("c", c), ("y", y)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ParameterError(f"{name} must be an integer, got {v!r}")
-    if c < 1 or 2 * c > N:
-        raise ParameterError(f"no valid m exists for N={N}, c={c}")
-    if y < 0:
-        raise ParameterError(f"y must be nonnegative, got {y}")
-    if 2 * c + y > N:
+    _check_band(N, c)
+    if 2 * c + _int("y", y, 0) > N:
         raise DomainError(f"y={y} is impossible for N={N}, c={c}")
 
 
 def _check_m(m: float, N: int, c: int, y: int) -> None:
     _check_nc(N, c, y)
-    if not math.isfinite(m):
+    if not math.isfinite(_real("m", m)):
         raise ParameterError(f"m must be finite, got {m!r}")
 
 
@@ -332,11 +327,13 @@ def profile(
 
     Bad shapes and impossible y raise as in mle. A grid point where L is
     undefined (the two-term sum is not positive there) gets nan. A grid
-    whose ends, step, point count or points are not finite, or that has
-    more than _MAX_ROWS = 10**6 points, the cap on a table's rows, raises
-    ParameterError.
+    that is not three numbers, whose ends, step, point count or points are
+    not finite, or that has more than _MAX_ROWS = 10**6 points, the cap on
+    a table's rows, raises ParameterError.
     """
-    lo, hi, step = grid_spec
+    if not (isinstance(grid_spec, Sequence) and len(grid_spec) == 3):
+        raise ParameterError(f"grid must be (lo, hi, step), got {grid_spec!r}")
+    lo, hi, step = map(_real, ("lo", "hi", "step"), grid_spec)
     n = (hi - lo) / step if step > 0 and hi >= lo else math.nan
     # an end or a step that is not finite makes n or the last point not finite
     if not (math.isfinite(n) and math.isfinite(lo + round(n) * step)):

@@ -12,8 +12,18 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .distributions import Dist, PmfTable, UrnParams, maxnh_pmf, pmf_table
-from .errors import DomainError, ParameterError
+from .distributions import (
+    Dist,
+    PmfTable,
+    UrnParams,
+    _check_band,
+    _check_params,
+    _last_y,
+    _table,
+    maxnh_pmf,
+    pmf_table,
+)
+from .errors import DomainError
 
 # Table rows carry the rounding of their ratio recurrence, a few ulp per
 # row walked, so two masses that are equal in exact arithmetic can differ in
@@ -41,7 +51,7 @@ def _eq(a: float, b: float) -> bool:
 
 def local_modes(table: PmfTable) -> ModeReport:
     """Find local maxima; an equal-valued plateau counts once, at its left end."""
-    ys, probs = table.ys, table.probs
+    ys, probs = _table(table).ys, table.probs
     n = len(probs)
     modes = []
     i = 0
@@ -60,8 +70,7 @@ def local_modes(table: PmfTable) -> ModeReport:
 
 def p0_p1_ratio(params: UrnParams) -> float:
     """Pr[Y=0]/Pr[Y=1]; always equals (c+1)/c when y=1 is in support."""
-    N, m, c = params.N, params.m, params.c
-    if max(m - c, N - m - c) < 1:
+    if _last_y(_check_params(Dist.MAXNH, params), params) < 1:
         raise DomainError("support is {0}: the ratio needs y=1 in support")
     return maxnh_pmf(params, 0) / maxnh_pmf(params, 1)
 
@@ -77,9 +86,7 @@ def unimodal_m_range(N: int, c: int) -> list[tuple[int, int]]:
     (distributions._log_comb), so the answer is [(m*, N - m*)], or [] when
     m = N//2 is not unimodal. Raises when no valid m exists.
     """
-    ints = all(isinstance(v, int) and not isinstance(v, bool) for v in (N, c))
-    if not ints or c < 1 or c > N - c:
-        raise ParameterError(f"no valid m for N={N}, c={c}")
+    _check_band(N, c)
 
     def unimodal(m: int) -> bool:
         return local_modes(pmf_table(Dist.MAXNH, UrnParams(N, m, c))).is_unimodal

@@ -34,8 +34,11 @@ from .distributions import (
     UrnParams,
     _MAX_ROWS,
     _check_params,
+    _int,
+    _last_y,
+    _member,
     _rows_capped,
-    support,
+    _table,
 )
 from .errors import DomainError, ParameterError
 
@@ -70,13 +73,9 @@ class SimConfig:
     trials: int
 
     def __post_init__(self) -> None:
-        for name, v in (("seed", self.seed), ("trials", self.trials)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ParameterError(f"{name} must be an integer, got {v!r}")
-        if not 0 <= self.seed <= _M64:
+        if not 0 <= _int("seed", self.seed) <= _M64:
             raise ParameterError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials!r}")
+        _int("trials", self.trials, 1)
 
 
 def _seed_state(seed: int) -> list[int]:
@@ -98,7 +97,8 @@ class Xoshiro256StarStar:
     """Seedable counter-quality generator with a pinned algorithm."""
 
     def __init__(self, seed: int) -> None:
-        self._s = _seed_state(seed)
+        """Any int seeds the generator; it is taken modulo 2**64."""
+        self._s = _seed_state(_int("seed", seed))
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s
@@ -119,7 +119,9 @@ class Xoshiro256StarStar:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def randbelow(self, n: int) -> int:
-        """Exactly uniform integer in [0, n)."""
+        """Exactly uniform integer in [0, n), for an int n in [1, 2**64]."""
+        if _int("n", n, 1) > _TWO64:
+            raise ParameterError(f"n must be at most 2**64, got {n!r}")
         while True:
             prod = self.next_u64() * n
             low = prod & _M64
@@ -175,7 +177,7 @@ def _urn_trials(params: UrnParams, scheme: Dist, rng: Xoshiro256StarStar):
     draws more than base + the largest y balls, so the layout stops there."""
     N, m = params.N, params.m
     t1, g2, t2, g1, base = _rule(scheme, params.c)
-    K = base + support(scheme, params)[-1]
+    K = base + _last_y(scheme, params)
     layout = _layout(N, K)
     # The rule on the balls left, with T the total before the draw: color
     # one ends the trial when rem1 falls to e1 while rem2 <= h2, color two
@@ -259,8 +261,9 @@ def _bernoulli_trials(params: BernoulliParams, scheme: Dist, rng: Xoshiro256Star
         yield n1 + n2 - base, first, n1, n2
 
 
-def _trials(scheme: Dist, params: UrnParams | BernoulliParams, rng: Xoshiro256StarStar):
-    _check_params(scheme, params)
+def _trials(scheme: Dist | str, params: UrnParams | BernoulliParams, rng: Xoshiro256StarStar):
+    """Endless trials of scheme on params, both checked as in pmf."""
+    scheme = _check_params(scheme, params)
     if scheme in URN_DISTS:
         return _urn_trials(params, scheme, rng)
     if scheme is not Dist.MINNB and _rows_capped(scheme, params):
@@ -304,41 +307,51 @@ def draw_until_c_successes(params: UrnParams, seed: int) -> DrawOutcome:
     return _one(Dist.NH, params, Xoshiro256StarStar(seed))
 
 
-def bernoulli_scheme(params: BernoulliParams, scheme: Dist, seed: int) -> DrawOutcome:
-    """Run one of the three stopping rules on iid Bernoulli(p) draws."""
+def bernoulli_scheme(params: BernoulliParams, scheme: Dist | str, seed: int) -> DrawOutcome:
+    """Run one of the three stopping rules on iid Bernoulli(p) draws; an
+    urn law raises ParameterError."""
+    scheme = _member(Dist, scheme)
     if scheme in URN_DISTS:
         raise ParameterError(f"not a Bernoulli scheme: {scheme.value}")
     return _one(scheme, params, Xoshiro256StarStar(seed))
 
 
+def _run(scheme: Dist | str, params, config: SimConfig):
+    """The config.trials trials of one seeded stream, as _trials gives them."""
+    if not isinstance(config, SimConfig):
+        raise ParameterError(f"expected a SimConfig, got {config!r}")
+    trials = _trials(scheme, params, Xoshiro256StarStar(config.seed))
+    return islice(trials, config.trials)
+
+
 def iter_outcomes(
-    scheme: Dist, params: UrnParams | BernoulliParams, config: SimConfig
+    scheme: Dist | str, params: UrnParams | BernoulliParams, config: SimConfig
 ) -> Iterator[DrawOutcome]:
     """The config.trials outcomes of one seeded stream, in order; they
-    tally to empirical_pmf with the same config."""
-    trials = _trials(scheme, params, Xoshiro256StarStar(config.seed))
-    return (_outcome(*t) for t in islice(trials, config.trials))
+    tally to empirical_pmf with the same config. scheme and params are
+    checked as in pmf."""
+    return (_outcome(*t) for t in _run(scheme, params, config))
 
 
 def empirical_pmf(
-    scheme: Dist,
+    scheme: Dist | str,
     params: UrnParams | BernoulliParams,
     config: SimConfig,
 ) -> PmfTable:
     """Normalized histogram of simulated y values over one seeded stream.
 
-    The table is contiguous from y=0 with zero-frequency gaps filled in.
+    The table is contiguous from y=0 with zero-frequency gaps filled in,
+    and its dist is the Dist member, as in pmf_table.
     """
-    trials = _trials(scheme, params, Xoshiro256StarStar(config.seed))
-    counts = Counter(map(itemgetter(0), islice(trials, config.trials)))
+    counts = Counter(map(itemgetter(0), _run(scheme, params, config)))
     ys = list(range(max(counts) + 1))
     probs = [counts[y] / config.trials for y in ys]
-    return PmfTable(scheme, params, ys, probs, None)
+    return PmfTable(_member(Dist, scheme), params, ys, probs, None)
 
 
 def tv_distance(a: PmfTable, b: PmfTable) -> float:
     """Total variation distance (1/2) sum |a(y) - b(y)|, missing bins = 0."""
-    n = max(len(a.probs), len(b.probs))
+    n = max(len(_table(a).probs), len(_table(b).probs))
     pa = a.probs + [0.0] * (n - len(a.probs))
     pb = b.probs + [0.0] * (n - len(b.probs))
     return 0.5 * math.fsum(abs(x - y) for x, y in zip(pa, pb))
