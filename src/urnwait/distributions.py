@@ -51,11 +51,6 @@ class Dist(str, enum.Enum):
     MINNH = "minnh"
 
 
-# ---------------------------------------------------------------------------
-# Input rules, each written once (README, "Input checks")
-# ---------------------------------------------------------------------------
-
-
 def _int(name: str, v, lo: int | None = None) -> int:
     """v, if it is an int, not a bool, and at least lo; else ParameterError."""
     if not isinstance(v, int) or isinstance(v, bool) or (lo is not None and v < lo):
@@ -74,10 +69,8 @@ def _real(name: str, v) -> int | float:
 def _member(kind: type[enum.Enum], v):
     """v as a member of kind: a member passes, its value is converted, and
     anything else raises ParameterError."""
-    if type(v) is kind:
-        return v
     try:
-        return kind(v)
+        return v if type(v) is kind else kind(v)
     except ValueError:
         names = ", ".join(k.value for k in kind)
         raise ParameterError(f"unknown {kind.__name__} {v!r}: use one of {names}") from None
@@ -85,8 +78,7 @@ def _member(kind: type[enum.Enum], v):
 
 def _check_band(N: int, c: int) -> None:
     """The (N, c) band in which some m is valid: integers, 1 <= c <= N - c."""
-    N, c = _int("N", N), _int("c", c)
-    if not 1 <= c <= N - c:
+    if not 1 <= _int("c", c) <= _int("N", N) - c:
         raise ParameterError(f"no valid m exists for N={N}, c={c}")
 
 
@@ -187,10 +179,8 @@ def _last_y(dist: Dist, params: UrnParams | BernoulliParams) -> float:
 
 
 def _in_support(dist: Dist, params: UrnParams | BernoulliParams, y: int) -> bool:
-    """Whether y, which must be an int, lies in the support, once params
-    are checked against dist."""
-    last = _last_y(_check_params(dist, params), params)
-    return 0 <= _int("y", y) <= last
+    """Whether the int y lies in the support, once params are checked."""
+    return _last_y(_check_params(dist, params), params) >= _int("y", y) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +329,7 @@ def support(dist: Dist | str, params: UrnParams | BernoulliParams) -> range:
     truncation rule has one definition. dist and params are checked as in
     pmf.
     """
-    dist = _check_params(dist, params)
-    last = _last_y(dist, params)
+    last = _last_y(_check_params(dist, params), params)
     if last == math.inf:
         return range(0, len(pmf_table(dist, params).ys))
     return range(0, last + 1)
@@ -416,8 +405,7 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
     span lo:hi outside which every row is 0.0.
 
     The anchor values come from lgamma, which only sets the scale: the
-    rows are normalized afterwards. minnb and minnh recur down from their
-    anchor row y = n = c, one past the support, which is dropped.
+    rows are normalized afterwards.
     """
     n = _last_y(dist, params) + 1
     if dist is Dist.MINNB:
@@ -443,7 +431,7 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
             ratios = map(truediv, range(top * pd, 0, -pd), dens)
             e = _exponent(_log_comb(c + top - 1, c - 1) + log_pq - (c - top) * log_f)
             lo = min(lo, _add_term(w, range(top, -1, -1), e, ratios))
-        w.pop()
+        w.pop()  # the anchor row y = n = c
         return w, lo + 1, n
     N, m, c = params.N, params.m, params.c
     if dist is Dist.NH:
@@ -475,7 +463,7 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
     for b in (N - m, m):
         ratios = _urn_ratios(N - 2 * c + 1, c, b - c + 1, 2 * c - 1, c)
         lo = min(lo, _add_term(w, range(n, -1, -1), e, ratios))
-    w.pop()
+    w.pop()  # the anchor row y = n = c
     return w, lo + 1, n
 
 
@@ -623,11 +611,8 @@ def cdf(table: PmfTable, y: int) -> float:
     The prefix sums are built once per table, so each call after the
     first is O(1). y is checked as in pmf.
     """
-    _table(table)
-    if _int("y", y) < 0:
-        return 0.0
-    cum = table._cum
-    return cum[min(y, len(cum) - 1)]
+    cum = _table(table)._cum
+    return cum[min(y, len(cum) - 1)] if _int("y", y) >= 0 else 0.0
 
 
 def quantile(table: PmfTable, u: float) -> int:

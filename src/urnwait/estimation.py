@@ -54,14 +54,11 @@ class LikelihoodProfile:
     maximizers: set[float]
 
 
-def _check_nc(N: int, c: int, y: int) -> None:
+def _check_nc(N: int, c: int, y: int, m: float = 0.0) -> None:
+    """The shape (N, c, y) and, for the likelihood, a finite m."""
     _check_band(N, c)
     if 2 * c + _int("y", y, 0) > N:
         raise DomainError(f"y={y} is impossible for N={N}, c={c}")
-
-
-def _check_m(m: float, N: int, c: int, y: int) -> None:
-    _check_nc(N, c, y)
     if not math.isfinite(_real("m", m)):
         raise ParameterError(f"m must be finite, got {m!r}")
 
@@ -165,7 +162,7 @@ def _den(N: int, n: int) -> tuple:
 
 def loglik_kernel(m: float, N: int, c: int, y: int) -> float:
     """L(m), defined wherever the two-term sum is positive."""
-    _check_m(m, N, c, y)
+    _check_nc(N, c, y, m)
     A, B, _, _, s, e = _parts(m, N, c, y)
     den = _den(N, 2 * c + y)
     # the binary exponents cancel as integers before any log is taken
@@ -190,13 +187,13 @@ def _grad_hess(m: float, N: int, c: int, y: int) -> tuple[float, float]:
 
 def loglik_grad(m: float, N: int, c: int, y: int) -> float:
     """L', from the same terms as L'' (see _grad_hess)."""
-    _check_m(m, N, c, y)
+    _check_nc(N, c, y, m)
     return _grad_hess(m, N, c, y)[0]
 
 
 def loglik_hess(m: float, N: int, c: int, y: int) -> float:
     """L'', from the same terms as L' (see _grad_hess)."""
-    _check_m(m, N, c, y)
+    _check_nc(N, c, y, m)
     return _grad_hess(m, N, c, y)[1]
 
 

@@ -12,17 +12,8 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .distributions import (
-    Dist,
-    PmfTable,
-    UrnParams,
-    _check_band,
-    _check_params,
-    _last_y,
-    _table,
-    maxnh_pmf,
-    pmf_table,
-)
+from .distributions import Dist, PmfTable, UrnParams, maxnh_pmf, pmf_table
+from .distributions import _check_band, _check_params, _last_y, _table
 from .errors import DomainError
 
 # Table rows carry the rounding of their ratio recurrence, a few ulp per

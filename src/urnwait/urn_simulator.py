@@ -310,8 +310,7 @@ def draw_until_c_successes(params: UrnParams, seed: int) -> DrawOutcome:
 def bernoulli_scheme(params: BernoulliParams, scheme: Dist | str, seed: int) -> DrawOutcome:
     """Run one of the three stopping rules on iid Bernoulli(p) draws; an
     urn law raises ParameterError."""
-    scheme = _member(Dist, scheme)
-    if scheme in URN_DISTS:
+    if (scheme := _member(Dist, scheme)) in URN_DISTS:
         raise ParameterError(f"not a Bernoulli scheme: {scheme.value}")
     return _one(scheme, params, Xoshiro256StarStar(seed))
 
