@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import Dist, PmfTable, UrnParams, maxnh_pmf, pmf_table
-from .distributions import _check_band, _check_params, _last_y, _table
+from .distributions import _LAST_Y, _check_band, _check_params, _table
 from .errors import DomainError
 
 # Table rows carry the rounding of their ratio recurrence, a few ulp per
@@ -61,7 +61,7 @@ def local_modes(table: PmfTable) -> ModeReport:
 
 def p0_p1_ratio(params: UrnParams) -> float:
     """Pr[Y=0]/Pr[Y=1]; always equals (c+1)/c when y=1 is in support."""
-    if _last_y(_check_params(Dist.MAXNH, params), params) < 1:
+    if _LAST_Y[_check_params(Dist.MAXNH, params)](params) < 1:
         raise DomainError("support is {0}: the ratio needs y=1 in support")
     return maxnh_pmf(params, 0) / maxnh_pmf(params, 1)
 

@@ -32,10 +32,10 @@ from .distributions import (
     Dist,
     PmfTable,
     UrnParams,
+    _LAST_Y,
     _MAX_ROWS,
     _check_params,
     _int,
-    _last_y,
     _member,
     _rows_capped,
     _table,
@@ -177,7 +177,7 @@ def _urn_trials(params: UrnParams, scheme: Dist, rng: Xoshiro256StarStar):
     draws more than base + the largest y balls, so the layout stops there."""
     N, m = params.N, params.m
     t1, g2, t2, g1, base = _rule(scheme, params.c)
-    K = base + _last_y(scheme, params)
+    K = base + _LAST_Y[scheme](params)
     layout = _layout(N, K)
     # The rule on the balls left, with T the total before the draw: color
     # one ends the trial when rem1 falls to e1 while rem2 <= h2, color two

@@ -245,15 +245,17 @@ def _append(valid, *more):
     return st.tuples(valid, *more).map(lambda t: (*t[0], *t[1:]))
 
 
-REALS = st.one_of(ints, st.floats(0.0, 70.0))
+@st.composite
+def likelihood_args(draw):
+    N, c, y = draw(shapes())
+    return draw(st.floats(0.0, N)), N, c, y
+
+
 URN_ARGS = calls(urns(), ints, valid=st.tuples(urns(), ints))
 BERN_ARGS = calls(berns, ints, valid=st.tuples(berns, ints))
 SHAPE_ARGS = calls(ints, ints, ints, valid=shapes())
 LIKELIHOOD_ARGS = calls(
-    REALS, ints, ints, ints,
-    valid=shapes().flatmap(lambda t: st.tuples(st.floats(0.0, t[0]), st.just(t))).map(
-        lambda a: (a[0], *a[1])
-    ),
+    st.one_of(ints, st.floats(0.0, 70.0)), ints, ints, ints, valid=likelihood_args()
 )
 
 # Every exported name, and for each function and input constructor the
