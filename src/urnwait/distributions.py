@@ -161,8 +161,7 @@ URN_DISTS = (Dist.NH, Dist.MINNH, Dist.MAXNH)
 
 def _check_params(dist: Dist | str, params: UrnParams | BernoulliParams) -> Dist:
     """dist as a Dist member (_member), once params is of the type it takes."""
-    if type(dist) is not Dist:
-        dist = _member(Dist, dist)
+    dist = _member(Dist, dist)
     want = UrnParams if dist in URN_DISTS else BernoulliParams
     if not isinstance(params, want):
         raise ParameterError(f"{dist.value} takes {want.__name__}, got {params!r}")
