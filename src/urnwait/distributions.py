@@ -169,8 +169,9 @@ def _check_params(dist: Dist | str, params: UrnParams | BernoulliParams) -> Dist
 
 
 # The largest y in each law's support, from its params: math.inf for nb
-# and maxnb. A table, not a chain of tests, because reading a Dist member
-# off the class costs about 150 ns and the pointwise pmfs read it per value.
+# and maxnb. A table, not a chain of `dist is Dist.X` tests: reading a
+# member off the Dist class costs about 150 ns, and the pointwise pmfs look
+# the last y up per value.
 _LAST_Y = {
     Dist.NB: lambda params: math.inf,
     Dist.MAXNB: lambda params: math.inf,
