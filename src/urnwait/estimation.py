@@ -63,29 +63,76 @@ def _check_nc(N: int, c: int, y: int, m: float = 0.0) -> None:
         raise ParameterError(f"m must be finite, got {m!r}")
 
 
+def _zero_run(m: float, N: int, c: int, y: int) -> tuple[float, int] | None:
+    """(u, P) where C + D has its zero at m = N/2, else None.
+
+    With u = m - N/2 and b_i = N/2 - c - i (i < y), C = prod(b_i + u) and
+    D = prod(b_i - u). For even N with y > N/2 - c the b_i run through 0,
+    which puts u into C and -u into D, and the P = c + y - 1 - N/2 negative
+    b each pair with +|b|, which puts u^2 - b^2 into both. So D/C = -e^-r,
+    with r summed over the unpaired run R = P+1, ..., N/2 - c
+    (_unpaired_ratio), and C + D = -C expm1(-r) cancels nowhere. That form
+    is taken for |u| < P + 1, where every b + u and b - u of R is positive.
+    """
+    P = c + y - 1 - N // 2
+    if P < 0 or N % 2:
+        return None
+    u = m - N // 2
+    return (u, P) if abs(u) < P + 1 else None
+
+
+def _unpaired_ratio(u: float, lo: int, hi: int) -> float:
+    """r = sum of ln((b+u)/(b-u)) over b = lo..hi, for |u| < lo.
+
+    Each term is exact to a few ulps: log1p(2u/(b-u)) where the ratio lies
+    in [1/2, 3/2], else the log of the ratio, which is at least ln 1.5 in
+    size there. The terms share the sign of u, and fsum adds them exactly.
+    """
+
+    def term(b: int) -> float:
+        x = 2.0 * u / (b - u)
+        return math.log1p(x) if -0.5 <= x <= 0.5 else math.log((b + u) / (b - u))
+
+    return math.fsum(map(term, range(lo, hi + 1)))
+
+
 def _parts(m: float, N: int, c: int, y: int):
-    """S = A B (C + D) from two walks of c + y terms: A = m^(c), C = (m-c)^(y),
-    B = (N-m)^(c), D = (N-m-c)^(y). The two products are A B D and A B C, so
-    C + D has their relative residual and takes the CANCEL_EPS zero rule.
-    Returns the runs A and B, C/(C+D), D/(C+D), and C + D as s * 2**e.
-    loglik_kernel walks at every m. _grad_hess walks only where _weights
-    has no O(1) answer: c + y < _SHORT_WALK, m outside (c + y - 1, N - c],
-    or r <= _FAR + err, where C and |D| are near in size, about m = N/2.
+    """S = A B (C + D) from the walks of A = m^(c), C = (m-c)^(y) and
+    B = (N-m)^(c). Returns the runs A and B, C/(C+D), D/(C+D), and C + D as
+    s * 2**e * e**g. S <= 0 raises DomainError.
+
+    Off _zero_run, D = (N-m-c)^(y) is walked too, and C + D is the sum of
+    the two products, with g = 0.0. Near the zero, C + D = -C expm1(-r): C's
+    terms m - c - i are exact floats, while D's run starts at N - m, which
+    rounds for m < N/2. So D is not walked, and g = ln|expm1(-r)| holds the
+    factor, which would overflow for r below about -709. At m = N/2, r = 0
+    and C = 0.0, so S = 0 raises.
+
+    loglik_kernel walks at every m. _grad_hess walks only off _zero_run,
+    where _weights has no O(1) answer: c + y < _SHORT_WALK, m outside
+    (c + y - 1, N - c], or r <= _FAR + err, where C and |D| are near in size.
     """
     A, C = kernel._walk(m, (c, y))
-    B, D = kernel._walk(N - m, (c, y))
-    e = max(C[1], D[1])
-    cv, dv = math.ldexp(C[0], C[1] - e), math.ldexp(D[0], D[1] - e)
-    s = cv + dv
-    if A[0] * B[0] * s <= 0.0 or abs(s) <= kernel.CANCEL_EPS * max(abs(cv), abs(dv)):
+    zero = _zero_run(m, N, c, y)
+    if zero is None:
+        B, D = kernel._walk(N - m, (c, y))
+        e = max(C[1], D[1])
+        cv, dv = math.ldexp(C[0], C[1] - e), math.ldexp(D[0], D[1] - e)
+        s = cv + dv
+    else:
+        u, P = zero
+        (B,) = kernel._walk(N - m, (c,))
+        r = _unpaired_ratio(u, P + 1, N // 2 - c)
+        s, e = (C[0] if r > 0.0 else -C[0]), C[1]
+    if A[0] * B[0] * s <= 0.0:
         raise DomainError(
             f"likelihood kernel undefined: the bracketed sum is <= 0 at m={m}"
         )
-    return A, B, cv / s, dv / s, s, e
+    if zero is None:
+        return A, B, cv / s, dv / s, s, e, 0.0
+    wc, wd = -1.0 / math.expm1(-r), -1.0 / math.expm1(r)
+    return A, B, wc, wd, s, e, max(-r, 0.0) + math.log(-math.expm1(-abs(r)))
 
-
-# ln(pi), as math.log(math.pi) rounds it.
-_LN_PI = 1.1447298858494002
 
 # Past this log-ratio, |D/C| < 2**-64, so C + D rounds to C in floats and a
 # walk would give C/(C+D) = 1.0 exactly.
@@ -105,25 +152,23 @@ def _log_falling(z: float, n: int) -> tuple[float, float, float]:
     """(ln|z^(n)|, its sign, size) for z^(n) = z (z-1) ... (z-n+1), z >= 0.
 
     A run above zero is lgamma(z+1) - lgamma(z-n+1). A run that crosses
-    zero is Gamma(z+1)/Gamma(z-n+1), and the reflection formula at
-    w = z-n+1 < 1 turns 1/|Gamma(w)| into Gamma(n-z) |sin(pi z)|/pi. The
-    sine is taken at the distance from z to its nearest integer, which
-    fmod gives exactly, so it keeps its relative accuracy a few ulps from
-    an integer. The sign is (-1)^(n-1-floor z), one factor per negative
-    term. A zero term gives (-inf, 0.0). size sums the magnitudes of the
-    terms added, which set the error.
+    zero is split as kernel._harmonic splits it: its p = ceil(z) positive
+    terms, lgamma(z+1) - lgamma(z-p+1), and its n - p negative terms
+    negated, lgamma(n-z) - lgamma(p-z), one factor -1 each. z - p + 1 and
+    p - z are exact, so the logs keep their accuracy a few ulps from an
+    integer z. A zero term gives (-inf, 0.0). size sums the magnitudes of
+    the lgamma values, which set the error.
     """
     a = math.lgamma(z + 1.0)
     if z > n - 1:
         b = math.lgamma(z - n + 1.0)
         return a - b, 1.0, abs(a) + abs(b)
-    t = math.fmod(z, 1.0)
-    if t == 0.0:
+    p = math.ceil(z)
+    if z == p:
         return -math.inf, 0.0, 0.0
-    b = math.lgamma(n - z)
-    d = math.log(math.sin(math.pi * min(t, 1.0 - t))) - _LN_PI
-    sign = -1.0 if (n - 1 - math.floor(z)) % 2 else 1.0
-    return a + b + d, sign, abs(a) + abs(b) + abs(d)
+    lg = (math.lgamma(z - (p - 1)), math.lgamma(n - z), math.lgamma(p - z))
+    sign = -1.0 if (n - p) % 2 else 1.0
+    return a - lg[0] + lg[1] - lg[2], sign, abs(a) + sum(map(abs, lg))
 
 
 def _log_ratio(m: float, N: int, c: int, y: int) -> tuple[float, float, float]:
@@ -135,9 +180,10 @@ def _log_ratio(m: float, N: int, c: int, y: int) -> tuple[float, float, float]:
     |r - ln(C/|D|)| <= err = 2**-48 (size + 1), where size sums the
     magnitudes of the terms of both logs (_log_falling). The bound is
     measured, not proven: against exact rational products of the float m
-    (tests/oracles.py), at 9500 points with N <= 10**4, some where D's run
-    crosses zero and some a few ulps from a zero of D, the largest error was
-    4.8 * 2**-52 (size + 1).
+    (tests/oracles.py), at 9600 points with N <= 10**4, a quarter each
+    anywhere, where D's run crosses zero, a few ulps from a zero of D and at
+    x = 0, the largest error was 11.1 * 2**-52 (size + 1), at a run above
+    zero whose lgamma values lie near their zeros at 1 and 2.
     """
     lc, _, sc = _log_falling(m - c, y)
     ld, s, sd = _log_falling(N - m - c, y)
@@ -163,10 +209,10 @@ def _den(N: int, n: int) -> tuple:
 def loglik_kernel(m: float, N: int, c: int, y: int) -> float:
     """L(m), defined wherever the two-term sum is positive."""
     _check_nc(N, c, y, m)
-    A, B, _, _, s, e = _parts(m, N, c, y)
+    A, B, _, _, s, e, g = _parts(m, N, c, y)
     den = _den(N, 2 * c + y)
     # the binary exponents cancel as integers before any log is taken
-    return math.log(A[0] * B[0] * s / den[0]) + (A[1] + B[1] + e - den[1]) * kernel._LN2
+    return math.log(A[0] * B[0] * s / den[0]) + (A[1] + B[1] + e - den[1]) * kernel._LN2 + g
 
 
 def _grad_hess(m: float, N: int, c: int, y: int) -> tuple[float, float]:
@@ -175,12 +221,34 @@ def _grad_hess(m: float, N: int, c: int, y: int) -> tuple[float, float]:
     (log P)'' = -q for a factorial polynomial P in z, so P''/P = h^2 - q.
     L' = A'/A + B'/B + (C' + D')/(C + D), where B and D run in N - m, which
     flips the sign of their h. The sums come first, so a pole (a zero term)
-    raises before any walk."""
+    raises before any walk.
+
+    Near the zero at N/2 (_zero_run), C = u Q C_R and D = -u Q D_R, where
+    Q holds the pairs and C_R, D_R the unpaired run R. Then C + D =
+    u Q (C_R - D_R), and the same formula holds with C_R and D_R in place
+    of C and D, plus the sums of the block u Q, the terms u + b for
+    b = -P..P, which enter L' and L'' unweighted. Its run starts at
+    m - (N/2 - P) and R's at m - c and (N - c) - m, so every term is an
+    exact float. The weights are -1/expm1(-r) and -1/expm1(r), and u = 0
+    is a zero term of the block.
+    """
     ha, qa = kernel._harmonic(m, c)
-    hc, qc = kernel._harmonic(m - c, y)
     hb, qb = kernel._harmonic(N - m, c)
-    hd, qd = kernel._harmonic(N - m - c, y)
-    wc, wd = _weights(m, N, c, y)
+    zero = _zero_run(m, N, c, y)
+    if zero is None:
+        hc, qc = kernel._harmonic(m - c, y)
+        hd, qd = kernel._harmonic(N - m - c, y)
+        wc, wd = _weights(m, N, c, y)
+    else:
+        u, P = zero
+        n = N // 2 - c - P
+        hu, qu = kernel._harmonic(m - (N // 2 - P), 2 * P + 1)
+        hc, qc = kernel._harmonic(m - c, n)
+        hd, qd = kernel._harmonic((N - c) - m, n)
+        r = _unpaired_ratio(u, P + 1, N // 2 - c)
+        wc, wd = -1.0 / math.expm1(-r), -1.0 / math.expm1(r)
+        ha += hu
+        qa += qu
     v = wc * hc - wd * hd
     return ha - hb + v, wc * (hc**2 - qc) + wd * (hd**2 - qd) - v * v - qa - qb
 

@@ -15,10 +15,6 @@ from itertools import accumulate, count, islice, repeat
 
 from .errors import DomainError
 
-# Below this relative residual, the sum of two opposing terms is declared an
-# exact zero rather than a spurious rounding remainder.
-CANCEL_EPS = 1e-13
-
 _LN2 = math.log(2.0)
 
 

@@ -162,6 +162,16 @@ def log_ratio_exact(m: float, N: int, c: int, y: int) -> tuple[float, int]:
     return log_rational(Fraction(C, abs(D))), 1 if D > 0 else -1
 
 
+def bracket_sign(m: float, N: int, c: int, y: int) -> int:
+    """The sign of S at the float m = p/q, in integers: both products of S
+    times q^(2c+y), from the numerators p - i q and (N-j) q - p."""
+    p, q = Fraction(m).as_integer_ratio()
+    low = [p - i * q for i in range(c + y)]
+    high = [(N - j) * q - p for j in range(c + y)]
+    s = math.prod(low[:c]) * math.prod(high) + math.prod(low) * math.prod(high[:c])
+    return (s > 0) - (s < 0)
+
+
 def loglik_exact(m: float, N: int, c: int, y: int) -> float:
     """L(m) = ln(S / N^(2c+y)) from the exact rational likelihood."""
     s, _, _, scale = _likelihood_jet(m, N, c, y)
@@ -178,6 +188,16 @@ def hess_exact(m: float, N: int, c: int, y: int) -> Fraction:
     """L''(m) = S''/S - (S'/S)^2 in exact rationals."""
     s, s1, s2, _ = _likelihood_jet(m, N, c, y)
     return Fraction(s2, s) - Fraction(s1, s) ** 2
+
+
+def derivative_relerrs(g: float, h: float, m: float, N: int, c: int, y: int):
+    """Relative errors of g and h against L' = S'/S and
+    L'' = (S'' S - S'^2)/S^2, in integers: no fraction is reduced."""
+    s, s1, s2, _ = _likelihood_jet(m, N, c, y)
+    a, b = g.as_integer_ratio()
+    hess = s2 * s - s1 * s1
+    a2, b2 = h.as_integer_ratio()
+    return abs(a * s - s1 * b) / abs(s1 * b), abs(a2 * s * s - hess * b2) / abs(hess * b2)
 
 
 def phi_exact(N: int, c: int, y: int) -> Fraction:

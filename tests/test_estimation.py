@@ -337,6 +337,86 @@ class TestLogRatio:
                 assert abs(r - want) <= err, (m, N, c, y, r - want, err)
 
 
+def _zero_shapes(n_max):
+    """Every (N, c, y) with even N <= n_max and y > N/2 - c, where the runs
+    of C and D hold b = 0 and C + D vanishes at m = N/2."""
+    return [
+        (N, c, y)
+        for N in range(4, n_max + 1, 2)
+        for c in range(1, N // 2)
+        for y in range(N // 2 - c + 1, N - 2 * c + 1)
+    ]
+
+
+def _assert_exact(m, N, c, y):
+    """L within 1e-12 max(1, |L|) of the exact L, and L' and L'' within
+    1e-12 relative of theirs."""
+    want = oracles.loglik_exact(m, N, c, y)
+    got = loglik_kernel(m, N, c, y)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (m, N, c, y, got, want)
+    g, h = loglik_grad(m, N, c, y), loglik_hess(m, N, c, y)
+    errs = oracles.derivative_relerrs(g, h, m, N, c, y)
+    assert max(errs) <= 1e-12, (m, N, c, y, errs)
+
+
+class TestZeroAtHalf:
+    """Near m = N/2 for even N with y > N/2 - c, C + D = -C expm1(-r) is
+    taken without cancellation, and the zero at N/2 is exact."""
+
+    @pytest.mark.parametrize(
+        "m, N, c, y",
+        [
+            # a cancellation tolerance gave L = -54.18 (exact -73.52) and
+            # L' = -4.2e3 (exact -1.06e12) here
+            (15.999999999998119, 32, 15, 2),
+            # and raised DomainError here, where L = -62.17
+            (7.999999999997068, 16, 6, 3),
+            # and was 0.0089 off in L here
+            (2781 + 2.1e-11, 5562, 1803, 1947),
+        ],
+    )
+    def test_points_a_tolerance_got_wrong(self, m, N, c, y):
+        _assert_exact(m, N, c, y)
+
+    def test_every_small_shape_near_half(self):
+        # at m = N/2 +- 10**-k and at random |u| < P + 1, wherever S > 0
+        rng = random.Random(21)
+        for N, c, y in _zero_shapes(40):
+            P = c + y - 1 - N // 2
+            points = [N / 2 + s * 10.0**-k for k in range(1, 13) for s in (1, -1)]
+            points += [N / 2 + rng.uniform(-P - 1, P + 1) for _ in range(2)]
+            for m in points:
+                if abs(m - N / 2) < P + 1 and oracles.bracket_sign(m, N, c, y) > 0:
+                    _assert_exact(m, N, c, y)
+
+    def test_zero_at_half_raises(self):
+        for N, c, y in _zero_shapes(40):
+            for fn in (loglik_kernel, loglik_grad, loglik_hess):
+                with pytest.raises(DomainError):
+                    fn(N / 2, N, c, y)
+
+    def test_finite_exactly_where_the_bracket_is_positive(self):
+        # every (N, c, y) with N <= 20, on a 1/16 grid of (0, N) and at
+        # N/2 +- 10**-k: L is finite where S > 0 and raises where S <= 0;
+        # every 7th finite value is held to the exact L
+        finite = 0
+        for N in range(2, 21):
+            near = [N / 2 + s * 10.0**-k for k in (3, 6, 9, 12) for s in (1, -1)]
+            points = [k / 16 for k in range(1, 16 * N)] + near
+            for c in range(1, N // 2 + 1):
+                for y in range(N - 2 * c + 1):
+                    for m in points:
+                        if oracles.bracket_sign(m, N, c, y) <= 0:
+                            with pytest.raises(DomainError):
+                                loglik_kernel(m, N, c, y)
+                            continue
+                        got = loglik_kernel(m, N, c, y)
+                        finite += 1
+                        if finite % 7 == 0:
+                            want = oracles.loglik_exact(m, N, c, y)
+                            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (m, N, c, y)
+
+
 class TestPhi:
     def test_frozen_sequence(self):
         for y, want in enumerate(PHI_20_3):
@@ -426,10 +506,12 @@ class TestMleAgainstExactRoot:
             phi(20, 8, 3)
         with pytest.raises(DomainError):
             loglik_kernel(10.0, 20, 8, 3)
-        # C + D = 6 (m - 10)^2 here: a residual below CANCEL_EPS is a zero
-        with pytest.raises(DomainError):
-            loglik_kernel(10.0 + 1e-14, 20, 8, 3)
-        assert loglik_kernel(10.0 + 1e-9, 20, 8, 3) < -40
+        # C + D = 6 (m - 10)^2 here, so L is finite on both sides of the zero
+        for m in (10.0 + 1e-14, 10.0 - 1e-14, 10.0 + 1e-9):
+            x = Fraction(m)
+            s = oracles.ff_int(x, 8) * oracles.ff_int(20 - x, 8) * 6 * (x - 10) ** 2
+            want = oracles.log_rational(s / math.perm(20, 19))
+            assert abs(loglik_kernel(m, 20, 8, 3) - want) <= 1e-12 * abs(want), m
         report = classify_critical_point(20, 8, 3)
         assert report.classification is Classification.ZERO_AT_HALF
         assert math.isnan(report.phi_value)
