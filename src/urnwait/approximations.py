@@ -24,6 +24,7 @@ from .distributions import (
     Dist,
     UrnParams,
     _check_params,
+    _float,
     _int,
     _member,
     maxnb_pmf,
@@ -62,9 +63,9 @@ def gamma_approx_density(params: UrnParams, y: int) -> float:
     (c-1)! and x^(c-1) cannot overflow.
     """
     _check_params(Dist.MAXNH, params)
-    _int("y", y)
+    _float("y", _int("y", y))
     N, m, c = params.N, params.m, params.c
-    root = math.sqrt(N)
+    root = math.sqrt(_float("N", N))
     theta = m / root
     x = theta * y / root
     if x <= 0.0:  # y = 0 is exact; y < 0 lies outside the support
@@ -75,8 +76,8 @@ def gamma_approx_density(params: UrnParams, y: int) -> float:
 def halfnormal_approx_density(c: int, y: int) -> float:
     """Half-normal density for the balanced urn: scale sqrt(2c), x = y/scale;
     0 for y < 0, outside the support."""
-    _int("c", c, 1)
-    if _int("y", y) < 0:
+    _float("c", _int("c", c, 1))
+    if _float("y", _int("y", y)) < 0:
         return 0.0
     scale = math.sqrt(2 * c)
     x = y / scale

@@ -42,6 +42,10 @@ TAIL_EPS = 1e-12
 _MAX_ROWS = 10**6
 
 
+# Every int up to this size is an exact float (_float).
+_EXACT_INT = 2**53
+
+
 class Dist(str, enum.Enum):
     NB = "nb"
     MAXNB = "maxnb"
@@ -59,10 +63,23 @@ def _int(name: str, v, lo: int | None = None) -> int:
     return v
 
 
+def _float(name: str, v: int | float) -> float:
+    """v as a float: the one rule for an int that float arithmetic reads. The
+    int must be exact as a float, at most 2**53 in size; a larger one raises
+    ParameterError. Past 2**53, N - m and N/2 round, terms such as the
+    deviances of kernel._log_binom_term lose every digit, and past 2**512
+    or 2**1024 ints overflow on their way into floats."""
+    if isinstance(v, int) and not -_EXACT_INT <= v <= _EXACT_INT:
+        raise ParameterError(f"{name} must be at most 2**53 in size, got a {v.bit_length()}-bit int")
+    return float(v)
+
+
 def _real(name: str, v) -> int | float:
-    """v, if it is an int or a float; otherwise ParameterError."""
+    """v, if it is an int or a float, and fits in a float (_float);
+    otherwise ParameterError."""
     if not isinstance(v, (int, float)):
         raise ParameterError(f"{name} must be a number, got {v!r}")
+    _float(name, v)
     return v
 
 
@@ -108,7 +125,7 @@ class BernoulliParams:
     p: float
 
     def __post_init__(self) -> None:
-        _int("c", self.c, 1)
+        _float("c", _int("c", self.c, 1))
         if not 0.0 < _real("p", self.p) < 1.0:
             raise ParameterError(f"p must lie strictly in (0, 1), got {self.p!r}")
 
@@ -198,6 +215,7 @@ def nb_pmf(params: BernoulliParams, y: int) -> float:
     times the binomial term of c-1 successes in c+y-1 trials."""
     if not _in_support(Dist.NB, params, y):
         return 0.0
+    _float("y", y)
     c, p = params.c, params.p
     return p * math.exp(kernel._log_binom_term(c - 1, c + y - 1, p))
 
@@ -207,6 +225,7 @@ def maxnb_pmf(params: BernoulliParams, y: int) -> float:
     which is c/(2c+y) times the binomial terms of c+y and c successes in 2c+y."""
     if not _in_support(Dist.MAXNB, params, y):
         return 0.0
+    _float("y", y)
     c, p = params.c, params.p
     n, b = 2 * c + y, kernel._log_binom_term
     return c / n * (math.exp(b(c + y, n, p)) + math.exp(b(c, n, p)))
@@ -231,6 +250,7 @@ def nh_pmf(params: UrnParams, y: int) -> float:
     """
     if not _in_support(Dist.NH, params, y):
         return 0.0
+    _float("N", params.N)
     N, m, c = params.N, params.m, params.c
     h = math.exp(kernel._log_hyper_term(c - 1, m, N - m, c + y - 1))
     return h * (m - c + 1) / (N - c - y + 1)
@@ -246,6 +266,7 @@ def minnh_pmf(params: UrnParams, y: int) -> float:
     """
     if not _in_support(Dist.MINNH, params, y):
         return 0.0
+    _float("N", params.N)
     N, m, c = params.N, params.m, params.c
     n, h = c + y, kernel._log_hyper_term
     return c / n * (math.exp(h(c, m, N - m, n)) + math.exp(h(y, m, N - m, n)))
@@ -262,6 +283,7 @@ def maxnh_pmf(params: UrnParams, y: int) -> float:
     """
     if not _in_support(Dist.MAXNH, params, y):
         return 0.0
+    _float("N", params.N)
     N, m, c = params.N, params.m, params.c
     n, h = 2 * c + y, kernel._log_hyper_term
     return c / n * (math.exp(h(c + y, m, N - m, n)) + math.exp(h(c, m, N - m, n)))

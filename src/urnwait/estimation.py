@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import kernel
-from .distributions import _MAX_ROWS, _check_band, _int, _real
+from .distributions import _MAX_ROWS, _check_band, _float, _int, _real
 from .errors import DomainError, ParameterError
 
 # Maximizer location tolerance.
@@ -57,6 +57,7 @@ class LikelihoodProfile:
 def _check_nc(N: int, c: int, y: int, m: float = 0.0) -> None:
     """The shape (N, c, y) and, for the likelihood, a finite m."""
     _check_band(N, c)
+    _float("N", N)
     if 2 * c + _int("y", y, 0) > N:
         raise DomainError(f"y={y} is impossible for N={N}, c={c}")
     if not math.isfinite(_real("m", m)):

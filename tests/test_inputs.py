@@ -172,6 +172,51 @@ class TestRefusals:
         with pytest.raises(ParameterError):
             convergence_sweep("gamma", regime, [40])
 
+    # An int that float arithmetic reads must be exact as a float, at most
+    # 2**53 in size. These raised OverflowError from inside the arithmetic.
+    HUGE = 2**1024
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h: urnwait.mle(h, 1, 1),
+            lambda h: urnwait.loglik_kernel(h, 2**1030, 1, 1),
+            lambda h: pmf(Dist.MAXNH, UrnParams(h, h // 2, 1), 1),
+            lambda h: urnwait.gamma_approx_density(UrnParams(h, h // 2, 1), 1),
+            lambda h: profile(20, 3, 5, (3, h, 1)),
+            lambda h: urnwait.nb_pmf(BernoulliParams(h, 0.5), 1),
+            lambda h: pmf_table("nb", BernoulliParams(h, 0.5)),
+            lambda h: bernoulli_scheme(BernoulliParams(h, 0.5), "nb", 1),
+            lambda h: urnwait.halfnormal_approx_density(h, 1),
+        ],
+        ids=[
+            "mle",
+            "loglik_kernel",
+            "pmf",
+            "gamma_approx_density",
+            "profile",
+            "nb_pmf",
+            "pmf_table",
+            "bernoulli_scheme",
+            "halfnormal_approx_density",
+        ],
+    )
+    def test_an_int_too_large_for_a_float(self, call):
+        with pytest.raises(ParameterError, match="2\\*\\*53"):
+            call(self.HUGE)
+
+    def test_the_largest_exact_int_is_taken(self):
+        # N = 2**53 is exact, and so are N/2 and every m
+        assert urnwait.mle(2**53, 1, 1) == {2.0**52}
+        assert pmf(Dist.MAXNH, UrnParams(2**53, 2**52, 1), 1) == pytest.approx(0.25)
+        with pytest.raises(ParameterError):
+            urnwait.mle(2**53 + 2, 1, 1)
+
+    def test_the_simulator_takes_any_urn(self):
+        # UrnParams has no size rule: the simulator draws in ints
+        outcome = urnwait.draw_until_both(UrnParams(self.HUGE, self.HUGE // 2, 2), 1)
+        assert outcome.y >= 0
+
 
 # ---------------------------------------------------------------------------
 # Property test of the public surface
