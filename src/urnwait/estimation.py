@@ -207,13 +207,21 @@ def _den(N: int, n: int) -> tuple:
     return kernel._walk(float(N), (n,))[0]
 
 
+# ln 2 in two parts, as fdlibm's log splits it: _LN2_HI has 32 significant
+# bits, so k * _LN2_HI is exact for |k| < 2**21.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+
 def loglik_kernel(m: float, N: int, c: int, y: int) -> float:
     """L(m), defined wherever the two-term sum is positive."""
     _check_nc(N, c, y, m)
     A, B, _, _, s, e, g = _parts(m, N, c, y)
     den = _den(N, 2 * c + y)
-    # the binary exponents cancel as integers before any log is taken
-    return math.log(A[0] * B[0] * s / den[0]) + (A[1] + B[1] + e - den[1]) * kernel._LN2 + g
+    # the binary exponents cancel as integers before any log is taken, and
+    # their k ln 2 is added last, with one rounding
+    k = A[1] + B[1] + e - den[1]
+    return k * _LN2_HI + (math.log(A[0] * B[0] * s / den[0]) + (k * _LN2_LO + g))
 
 
 def _grad_hess(m: float, N: int, c: int, y: int) -> tuple[float, float]:

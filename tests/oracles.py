@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from decimal import Context, Decimal
 from fractions import Fraction
 from importlib import resources
 
@@ -144,10 +145,15 @@ def _likelihood_jet(m: float, N: int, c: int, y: int) -> tuple[int, ...]:
     return tuple(u + v for u, v in zip(t1, t2)) + (q ** (2 * c + y),)
 
 
+# ln 2 to 40 digits: math.log(2.0) is 2.3e-17 off, which a shift of a few
+# hundred bits turns into a bias of several ulps of ln x.
+_LN2 = Decimal(2).ln(Context(prec=40))
+
+
 def log_rational(x: Fraction) -> float:
-    """ln x for a positive rational, to a few ulp of its absolute size."""
+    """ln x for a positive rational, to about an ulp of its absolute size."""
     shift = x.numerator.bit_length() - x.denominator.bit_length()
-    return math.log(x / Fraction(2) ** shift) + shift * math.log(2.0)
+    return math.log(x / Fraction(2) ** shift) + float(shift * _LN2)
 
 
 def log_ratio_exact(m: float, N: int, c: int, y: int) -> tuple[float, int]:
