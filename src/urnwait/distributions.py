@@ -42,10 +42,6 @@ TAIL_EPS = 1e-12
 _MAX_ROWS = 10**6
 
 
-# Every int up to this size is an exact float (_float).
-_EXACT_INT = 2**53
-
-
 class Dist(str, enum.Enum):
     NB = "nb"
     MAXNB = "maxnb"
@@ -69,7 +65,7 @@ def _float(name: str, v: int | float) -> float:
     ParameterError. Past 2**53, N - m and N/2 round, terms such as the
     deviances of kernel._log_binom_term lose every digit, and past 2**512
     or 2**1024 ints overflow on their way into floats."""
-    if isinstance(v, int) and not -_EXACT_INT <= v <= _EXACT_INT:
+    if isinstance(v, int) and not -(2**53) <= v <= 2**53:
         raise ParameterError(f"{name} must be at most 2**53 in size, got a {v.bit_length()}-bit int")
     return float(v)
 

@@ -70,10 +70,10 @@ def _zero_run(m: float, N: int, c: int, y: int) -> tuple[float, int] | None:
     With u = m - N/2 and b_i = N/2 - c - i (i < y), C = prod(b_i + u) and
     D = prod(b_i - u). For even N with y > N/2 - c the b_i run through 0,
     which puts u into C and -u into D, and the P = c + y - 1 - N/2 negative
-    b each pair with +|b|, which puts u^2 - b^2 into both. So D/C = -e^-r,
-    with r summed over the unpaired run R = P+1, ..., N/2 - c
-    (_unpaired_ratio), and C + D = -C expm1(-r) cancels nowhere. That form
-    is taken for |u| < P + 1, where every b + u and b - u of R is positive.
+    b pair with +|b|, which puts u^2 - b^2 into both. So D/C = -e^-r, with
+    r over the unpaired run P+1..N/2-c (_unpaired_ratio), and C + D =
+    -C expm1(-r) does not cancel. It is taken for |u| < P + 1, where every
+    term of r is finite.
     """
     P = c + y - 1 - N // 2
     if P < 0 or N % 2:
@@ -99,15 +99,14 @@ def _unpaired_ratio(u: float, lo: int, hi: int) -> float:
 
 def _parts(m: float, N: int, c: int, y: int):
     """S = A B (C + D) from the walks of A = m^(c), C = (m-c)^(y) and
-    B = (N-m)^(c). Returns the runs A and B, C/(C+D), D/(C+D), and C + D as
-    s * 2**e * e**g. S <= 0 raises DomainError.
+    B = (N-m)^(c). Returns the runs A and B, the weights (C/(C+D), D/(C+D)),
+    and C + D as s * 2**e * e**g. S <= 0 raises DomainError.
 
-    Off _zero_run, D = (N-m-c)^(y) is walked too, and C + D is the sum of
-    the two products, with g = 0.0. Near the zero, C + D = -C expm1(-r): C's
-    terms m - c - i are exact floats, while D's run starts at N - m, which
-    rounds for m < N/2. So D is not walked, and g = ln|expm1(-r)| holds the
-    factor, which would overflow for r below about -709. At m = N/2, r = 0
-    and C = 0.0, so S = 0 raises.
+    Off _zero_run, D = (N-m-c)^(y) is walked too, and g = 0.0. Near the
+    zero, C + D = -C expm1(-r), and g = ln|expm1(-r)| keeps the factor from
+    overflowing. C's terms are exact floats; D's start, N - m, rounds for
+    m < N/2, so D is not walked. At m = N/2, C = 0.0 and S = 0 raises. The
+    weights are None there: _grad_hess takes them from r.
 
     loglik_kernel walks at every m. _grad_hess walks only off _zero_run,
     where _weights has no O(1) answer: c + y < _SHORT_WALK, m outside
@@ -130,9 +129,8 @@ def _parts(m: float, N: int, c: int, y: int):
             f"likelihood kernel undefined: the bracketed sum is <= 0 at m={m}"
         )
     if zero is None:
-        return A, B, cv / s, dv / s, s, e, 0.0
-    wc, wd = -1.0 / math.expm1(-r), -1.0 / math.expm1(r)
-    return A, B, wc, wd, s, e, max(-r, 0.0) + math.log(-math.expm1(-abs(r)))
+        return A, B, (cv / s, dv / s), s, e, 0.0
+    return A, B, None, s, e, max(-r, 0.0) + math.log(-math.expm1(-abs(r)))
 
 
 # Past this log-ratio, |D/C| < 2**-64, so C + D rounds to C in floats and a
@@ -198,7 +196,7 @@ def _weights(m: float, N: int, c: int, y: int) -> tuple[float, float]:
         r, s, err = _log_ratio(m, N, c, y)
         if r > _FAR + err:
             return 1.0, s * math.exp(-r)
-    return _parts(m, N, c, y)[2:4]
+    return _parts(m, N, c, y)[2]
 
 
 @functools.lru_cache(maxsize=64)
@@ -216,7 +214,7 @@ _LN2_LO = 1.90821492927058770002e-10
 def loglik_kernel(m: float, N: int, c: int, y: int) -> float:
     """L(m), defined wherever the two-term sum is positive."""
     _check_nc(N, c, y, m)
-    A, B, _, _, s, e, g = _parts(m, N, c, y)
+    A, B, _, s, e, g = _parts(m, N, c, y)
     den = _den(N, 2 * c + y)
     # the binary exponents cancel as integers before any log is taken, and
     # their k ln 2 is added last, with one rounding
@@ -232,14 +230,11 @@ def _grad_hess(m: float, N: int, c: int, y: int) -> tuple[float, float]:
     flips the sign of their h. The sums come first, so a pole (a zero term)
     raises before any walk.
 
-    Near the zero at N/2 (_zero_run), C = u Q C_R and D = -u Q D_R, where
-    Q holds the pairs and C_R, D_R the unpaired run R. Then C + D =
-    u Q (C_R - D_R), and the same formula holds with C_R and D_R in place
-    of C and D, plus the sums of the block u Q, the terms u + b for
-    b = -P..P, which enter L' and L'' unweighted. Its run starts at
-    m - (N/2 - P) and R's at m - c and (N - c) - m, so every term is an
-    exact float. The weights are -1/expm1(-r) and -1/expm1(r), and u = 0
-    is a zero term of the block.
+    Near the zero (_zero_run), C + D = u Q (C_R - D_R), with Q the pairs
+    and C_R, D_R the unpaired run: the formula holds with C_R and D_R,
+    weighted by -1/expm1(-r) and -1/expm1(r), and the block u Q (the terms
+    u + b for b = -P..P, a pole at u = 0) adds its sums unweighted. Each
+    run starts at an exact float: m - (N/2 - P), m - c and (N - c) - m.
     """
     ha, qa = kernel._harmonic(m, c)
     hb, qb = kernel._harmonic(N - m, c)
@@ -256,8 +251,7 @@ def _grad_hess(m: float, N: int, c: int, y: int) -> tuple[float, float]:
         hd, qd = kernel._harmonic((N - c) - m, n)
         r = _unpaired_ratio(u, P + 1, N // 2 - c)
         wc, wd = -1.0 / math.expm1(-r), -1.0 / math.expm1(r)
-        ha += hu
-        qa += qu
+        ha, qa = ha + hu, qa + qu  # the block enters unweighted, as A does
     v = wc * hc - wd * hd
     return ha - hb + v, wc * (hc**2 - qc) + wd * (hd**2 - qd) - v * v - qa - qb
 
