@@ -249,8 +249,13 @@ def _grad_hess(m: float, N: int, c: int, y: int) -> tuple[float, float]:
         hu, qu = kernel._harmonic(m - (N // 2 - P), 2 * P + 1)
         hc, qc = kernel._harmonic(m - c, n)
         hd, qd = kernel._harmonic((N - c) - m, n)
+        # -1/expm1(-r) and -1/expm1(r), from expm1 at -|r|, which cannot
+        # overflow
         r = _unpaired_ratio(u, P + 1, N // 2 - c)
-        wc, wd = -1.0 / math.expm1(-r), -1.0 / math.expm1(r)
+        t = math.expm1(-abs(r))
+        wc, wd = -1.0 / t, math.exp(-abs(r)) / t
+        if r < 0.0:
+            wc, wd = wd, wc
         ha, qa = ha + hu, qa + qu  # the block enters unweighted, as A does
     v = wc * hc - wd * hd
     return ha - hb + v, wc * (hc**2 - qc) + wd * (hd**2 - qd) - v * v - qa - qb

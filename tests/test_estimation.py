@@ -378,6 +378,11 @@ class TestZeroAtHalf:
     def test_points_a_tolerance_got_wrong(self, m, N, c, y):
         _assert_exact(m, N, c, y)
 
+    def test_weights_where_e_to_the_r_overflows(self):
+        # r = -940.7 and 940.7 here, far beyond exp's range of about 709
+        for m in (490.5, 1509.5):
+            _assert_exact(m, 2000, 10, 1500)
+
     def test_every_small_shape_near_half(self):
         # at m = N/2 +- 10**-k and at random |u| < P + 1, wherever S > 0
         rng = random.Random(21)
