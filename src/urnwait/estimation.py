@@ -55,96 +55,30 @@ class LikelihoodProfile:
 
 
 def _check_nc(N: int, c: int, y: int, m: float = 0.0) -> None:
-    """The shape (N, c, y) and, for the likelihood, a finite m."""
+    """The shape (N, c, y) and, for the likelihood, an m in [0, N]."""
     _check_band(N, c)
     _float("N", N)
     if 2 * c + _int("y", y, 0) > N:
         raise DomainError(f"y={y} is impossible for N={N}, c={c}")
     if not math.isfinite(_real("m", m)):
         raise ParameterError(f"m must be finite, got {m!r}")
+    if not 0 <= m <= N:
+        raise DomainError(f"m={m} is outside [0, N={N}]")
 
 
-def _zero_run(m: float, N: int, c: int, y: int) -> tuple[float, int] | None:
-    """(u, P) where C + D has its zero at m = N/2, else None.
-
-    With u = m - N/2 and b_i = N/2 - c - i (i < y), C = prod(b_i + u) and
-    D = prod(b_i - u). For even N with y > N/2 - c the b_i run through 0,
-    which puts u into C and -u into D, and the P = c + y - 1 - N/2 negative
-    b pair with +|b|, which puts u^2 - b^2 into both. So D/C = -e^-r, with
-    r over the unpaired run P+1..N/2-c (_unpaired_ratio), and C + D =
-    -C expm1(-r) does not cancel. It is taken for |u| < P + 1, where every
-    term of r is finite.
-    """
-    P = c + y - 1 - N // 2
-    if P < 0 or N % 2:
-        return None
-    u = m - N // 2
-    return (u, P) if abs(u) < P + 1 else None
-
-
-def _unpaired_ratio(u: float, lo: int, hi: int) -> float:
-    """r = sum of ln((b+u)/(b-u)) over b = lo..hi, for |u| < lo.
-
-    Each term is exact to a few ulps: log1p(2u/(b-u)) where the ratio lies
-    in [1/2, 3/2], else the log of the ratio, which is at least ln 1.5 in
-    size there. The terms share the sign of u, and fsum adds them exactly.
-    """
-
-    def term(b: int) -> float:
-        x = 2.0 * u / (b - u)
-        return math.log1p(x) if -0.5 <= x <= 0.5 else math.log((b + u) / (b - u))
-
-    return math.fsum(map(term, range(lo, hi + 1)))
-
-
-def _parts(m: float, N: int, c: int, y: int):
-    """S = A B (C + D) from the walks of A = m^(c), C = (m-c)^(y) and
-    B = (N-m)^(c). Returns the runs A and B, the weights (C/(C+D), D/(C+D)),
-    and C + D as s * 2**e * e**g. S <= 0 raises DomainError.
-
-    Off _zero_run, D = (N-m-c)^(y) is walked too, and g = 0.0. Near the
-    zero, C + D = -C expm1(-r), and g = ln|expm1(-r)| keeps the factor from
-    overflowing. C's terms are exact floats; D's start, N - m, rounds for
-    m < N/2, so D is not walked. At m = N/2, C = 0.0 and S = 0 raises. The
-    weights are None there: _grad_hess takes them from r.
-
-    loglik_kernel walks at every m. _grad_hess walks only off _zero_run,
-    where _weights has no O(1) answer: c + y < _SHORT_WALK, m outside
-    (c + y - 1, N - c], or r <= _FAR + err, where C and |D| are near in size.
-    """
-    A, C = kernel._walk(m, (c, y))
-    zero = _zero_run(m, N, c, y)
-    if zero is None:
-        B, D = kernel._walk(N - m, (c, y))
-        e = max(C[1], D[1])
-        cv, dv = math.ldexp(C[0], C[1] - e), math.ldexp(D[0], D[1] - e)
-        s = cv + dv
-    else:
-        u, P = zero
-        (B,) = kernel._walk(N - m, (c,))
-        r = _unpaired_ratio(u, P + 1, N // 2 - c)
-        s, e = (C[0] if r > 0.0 else -C[0]), C[1]
-    if A[0] * B[0] * s <= 0.0:
-        raise DomainError(
-            f"likelihood kernel undefined: the bracketed sum is <= 0 at m={m}"
-        )
-    if zero is None:
-        return A, B, (cv / s, dv / s), s, e, 0.0
-    return A, B, None, s, e, max(-r, 0.0) + math.log(-math.expm1(-abs(r)))
-
-
-# Past this log-ratio, |D/C| < 2**-64, so C + D rounds to C in floats and a
-# walk would give C/(C+D) = 1.0 exactly.
+# Past this log-ratio, |D/C| < 2**-64, so C + D rounds to C in floats and
+# C/(C+D) = 1.0 exactly.
 _FAR = 45.0
 
 # The bound on the error of r, per unit of the magnitudes of the terms it
 # sums (see _log_ratio).
 _R_ERR = 2.0**-48
 
-# Reads with c + y below this walk at once. Measured over every (N, c, y)
-# with N <= 120: below it, computing r first cost more than the walks it
-# saved, and from it on it cost less.
-_SHORT_WALK = 24
+# Reads with c + y below this sum r over R at once. Measured with mle over
+# every (N, c, y) with N <= 120, grouped by c + y: below 30, trying
+# _log_ratio first cost up to 25% more than summing at once (1-6% at 21-29),
+# and from 30 to 80 it cost up to 14% less.
+_SHORT_WALK = 30
 
 
 def _log_falling(z: float, n: int) -> tuple[float, float, float]:
@@ -189,14 +123,40 @@ def _log_ratio(m: float, N: int, c: int, y: int) -> tuple[float, float, float]:
     return lc - ld, s, _R_ERR * (sc + sd + 1.0)
 
 
-def _weights(m: float, N: int, c: int, y: int) -> tuple[float, float]:
-    """(C/(C+D), D/(C+D)): from r when C dwarfs D, where they are 1.0 and
-    s e^-r, otherwise from the walk (_parts)."""
+def _ratio(m: float, N: int, c: int, y: int) -> tuple[float, float, int]:
+    """(r, s, k) with D/C = s e^-r, where C + D = C (1 + s e^-r).
+
+    With u = m - N/2 and b_i = N/2 - c - i, C = prod(b_i + u) and
+    D = prod(b_i - u). C's last k terms are the pairs +-|b| and any b = 0,
+    the block, a factor of D too, times (-1)^k. So r = sum ln|(b+u)/(b-u)|
+    over the unpaired run R, C's first n = y - k terms, where every b > 0.
+
+    r is taken from _log_ratio where that shows r > _FAR + err, which is
+    tried for c + y >= _SHORT_WALK and c + y - 1 < m <= N - c. Otherwise it
+    is summed over R. For u >= 0 each term is log1p of a positive ratio:
+    2u/hi where hi = (N-c-i) - m > 0, and 2b/|hi| where hi < 0, hi being
+    exact on [0, N]. For u < 0 the terms are mirrored, with lo = m - (c+i)
+    in place of hi and the opposite sign. A term is exact to a few ulps,
+    the terms share the sign of u, and fsum adds them. A zero hi gives
+    r = inf (D = 0), a zero lo r = -inf (C = 0).
+    """
+    k = max(0, 2 * (c + y) - 1 - N)
     if c + y >= _SHORT_WALK and c + y - 1 < m <= N - c:
         r, s, err = _log_ratio(m, N, c, y)
         if r > _FAR + err:
-            return 1.0, s * math.exp(-r)
-    return _parts(m, N, c, y)[2]
+            return r, s, k
+    n = y - k
+    if 2.0 * m >= N:
+        z, d, sign = (N - c) - m, 2.0 * m - N, 1.0
+    else:
+        z, d, sign = m - c, N - 2.0 * m, -1.0
+    p = min(n, max(0, math.ceil(z)))  # the terms where lo and hi share a sign
+    if p < n and z == p:
+        return sign * math.inf, 1.0, k
+    log1p = math.log1p
+    terms = [log1p(d / (z - i)) for i in range(p)]
+    terms += [log1p((N - 2 * (c + i)) / (i - z)) for i in range(p, n)]
+    return sign * math.fsum(terms), -1.0 if (k + n - p) % 2 else 1.0, k
 
 
 @functools.lru_cache(maxsize=64)
@@ -211,52 +171,82 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 
 
+def _factor(r: float, s: float) -> tuple[float, float]:
+    """(1 + s e^-|r|, e^-|r|), the first from expm1 where s < 0, so that it
+    does not cancel."""
+    x = math.exp(-abs(r))
+    return (1.0 + x if s > 0.0 else -math.expm1(-abs(r))), x
+
+
 def loglik_kernel(m: float, N: int, c: int, y: int) -> float:
-    """L(m), defined wherever the two-term sum is positive."""
+    """L(m), defined wherever the two-term sum is positive.
+
+    C + D is the larger of the two times 1 + s e^-|r| (see _ratio): C for
+    r >= 0 (m >= N/2), walked with A from m, and D = (-1)^k Q D_R for
+    r < 0, with the block Q walked with A from m and the unpaired run D_R
+    from the exact (N - c) - m. B is walked from N - m. A zero term of C
+    or D outside the block gives r = -inf or inf, where C + D is the other
+    one exactly; a zero term in the block zeroes both.
+    """
     _check_nc(N, c, y, m)
-    A, B, _, s, e, g = _parts(m, N, c, y)
+    r, s, k = _ratio(m, N, c, y)
+    if r >= 0.0:
+        A, X = kernel._walk(m, (c, y))
+    else:
+        A, _, Q = kernel._walk(m, (c, y - k, k))
+        (D,) = kernel._walk((N - c) - m, (y - k,))
+        X = ((-Q[0] if k % 2 else Q[0]) * D[0], Q[1] + D[1])
+    (B,) = kernel._walk(N - m, (c,))
+    t = A[0] * B[0] * (X[0] * _factor(r, s)[0])
+    if t <= 0.0:
+        raise DomainError(
+            f"likelihood kernel undefined: the bracketed sum is <= 0 at m={m}"
+        )
     den = _den(N, 2 * c + y)
     # the binary exponents cancel as integers before any log is taken, and
     # their k ln 2 is added last, with one rounding
-    k = A[1] + B[1] + e - den[1]
-    return k * _LN2_HI + (math.log(A[0] * B[0] * s / den[0]) + (k * _LN2_LO + g))
+    k = A[1] + B[1] + X[1] - den[1]
+    return k * _LN2_HI + (math.log(t / den[0]) + k * _LN2_LO)
 
 
-def _grad_hess(m: float, N: int, c: int, y: int) -> tuple[float, float]:
-    """(L', L'') from the weights C/(C+D) and D/(C+D) (_weights) and four
-    runs' sums h = sum 1/(z-i) and q = sum 1/(z-i)^2: P'/P = h and
-    (log P)'' = -q for a factorial polynomial P in z, so P''/P = h^2 - q.
-    L' = A'/A + B'/B + (C' + D')/(C + D), where B and D run in N - m, which
-    flips the sign of their h. The sums come first, so a pole (a zero term)
-    raises before any walk.
+def _grad_hess(m: float, N: int, c: int, y: int, check: bool = False) -> tuple[float, float]:
+    """(L', L'') from the runs' sums h = sum 1/(z-i) and q = sum 1/(z-i)^2:
+    P'/P = h and (log P)'' = -q for a factorial polynomial P in z, so
+    P''/P = h^2 - q.
 
-    Near the zero (_zero_run), C + D = u Q (C_R - D_R), with Q the pairs
-    and C_R, D_R the unpaired run: the formula holds with C_R and D_R,
-    weighted by -1/expm1(-r) and -1/expm1(r), and the block u Q (the terms
-    u + b for b = -P..P, a pole at u = 0) adds its sums unweighted. Each
-    run starts at an exact float: m - (N/2 - P), m - c and (N - c) - m.
+    C + D = Q (C_R + D_R'), with Q the block and C_R, D_R' = (-1)^k D_R the
+    unpaired run (see _ratio). L' = A'/A + Q'/Q - B'/B + wc h_C - wd h_D
+    with weights wc = C_R/(C_R + D_R') and wd = D_R'/(C_R + D_R'), both
+    from (r, s); B and D run in N - m, which flips the sign of their h. The
+    block enters unweighted, as A does. Each run starts at an exact float:
+    m, m - c, (N - c) - m and m - (c + n); N - m rounds for m < N/2, where
+    B has no term near zero. A zero term is a pole and raises. With check,
+    S <= 0 raises too: the sign of S is the parity of the negative terms of
+    A, B and C times the sign of 1 + s e^-r.
     """
+    r, s, k = _ratio(m, N, c, y)
+    n = y - k
     ha, qa = kernel._harmonic(m, c)
     hb, qb = kernel._harmonic(N - m, c)
-    zero = _zero_run(m, N, c, y)
-    if zero is None:
-        hc, qc = kernel._harmonic(m - c, y)
-        hd, qd = kernel._harmonic(N - m - c, y)
-        wc, wd = _weights(m, N, c, y)
-    else:
-        u, P = zero
-        n = N // 2 - c - P
-        hu, qu = kernel._harmonic(m - (N // 2 - P), 2 * P + 1)
-        hc, qc = kernel._harmonic(m - c, n)
-        hd, qd = kernel._harmonic((N - c) - m, n)
-        # -1/expm1(-r) and -1/expm1(r), from expm1 at -|r|, which cannot
-        # overflow
-        r = _unpaired_ratio(u, P + 1, N // 2 - c)
-        t = math.expm1(-abs(r))
-        wc, wd = -1.0 / t, math.exp(-abs(r)) / t
-        if r < 0.0:
-            wc, wd = wd, wc
-        ha, qa = ha + hu, qa + qu  # the block enters unweighted, as A does
+    hc, qc = kernel._harmonic(m - c, n)
+    hd, qd = kernel._harmonic((N - c) - m, n)
+    if k:
+        hq, qq = kernel._harmonic(m - (c + n), k)
+        ha, qa = ha + hq, qa + qq
+    # the smaller weight is s x/f, and wc + wd = 1 gives the other with one
+    # rounding; past r = _FAR they are 1.0 and s e^-r
+    f, x = _factor(r, s)
+    w = s * x / f
+    wc, wd = (w, 1.0 - w) if r < 0.0 else (1.0 - w, w)
+    if check:
+        # the parity of the negative terms of A, B and C; 1 + s e^-r has the
+        # sign of f, or of s where r < 0
+        runs = ((m, c), (N - m, c), (m - c, y))
+        odd = sum(j - min(j, max(0, math.ceil(z))) for z, j in runs) % 2
+        if f == 0.0 or (r < 0.0 and s < 0.0) != bool(odd):
+            raise DomainError(
+                f"likelihood kernel undefined: the bracketed sum is <= 0 at m={m}"
+            )
     v = wc * hc - wd * hd
     return ha - hb + v, wc * (hc**2 - qc) + wd * (hd**2 - qd) - v * v - qa - qb
 
@@ -264,13 +254,13 @@ def _grad_hess(m: float, N: int, c: int, y: int) -> tuple[float, float]:
 def loglik_grad(m: float, N: int, c: int, y: int) -> float:
     """L', from the same terms as L'' (see _grad_hess)."""
     _check_nc(N, c, y, m)
-    return _grad_hess(m, N, c, y)[0]
+    return _grad_hess(m, N, c, y, check=True)[0]
 
 
 def loglik_hess(m: float, N: int, c: int, y: int) -> float:
     """L'', from the same terms as L' (see _grad_hess)."""
     _check_nc(N, c, y, m)
-    return _grad_hess(m, N, c, y)[1]
+    return _grad_hess(m, N, c, y, check=True)[1]
 
 
 def phi(N: int, c: int, y: int) -> float:
@@ -381,9 +371,10 @@ def mle(N: int, c: int, y: int) -> set[float]:
     maximum of L lies on this interval, as its only local maximum, is
     measured (every input with N <= 40), not proven.
 
-    Each read of L' and L'' costs O(1) where c + y >= _SHORT_WALK and C
-    dwarfs |D| (see _weights); only the reads near N/2, and every read of
-    a shape with c + y < _SHORT_WALK, walk the 2(c + y) terms of _parts.
+    No read walks. Each read of L' and L'' costs O(1) where
+    c + y >= _SHORT_WALK and C dwarfs |D| (see _ratio); the reads near
+    N/2, and every read of a shape with c + y < _SHORT_WALK, sum r over the
+    unpaired run, at most y terms.
     """
     _check_nc(N, c, y)
     if classify_critical_point(N, c, y).classification is Classification.GLOBAL_MAX_AT_HALF:
