@@ -522,6 +522,10 @@ class TestMle:
         assert loglik_kernel(hi, 30, 2, 6) > loglik_kernel(15.0, 30, 2, 6)
 
 
+def _refuse_walk(*args):
+    raise AssertionError("mle walked")
+
+
 class TestMleAgainstExactRoot:
     @pytest.mark.parametrize("N, c, y", MLE_EXACT_CASES)
     def test_within_1e7_of_the_exact_gradient_root(self, N, c, y):
@@ -611,11 +615,8 @@ class TestMleAgainstExactRoot:
         # every read takes its weights from (r, s): r from _log_ratio in O(1)
         # or summed over the unpaired run, so a walk, which raises here,
         # never runs. The selfcheck shapes have y <= N/2 - c; on the last
-        # four c + y - 1 >= N/2, and the search starts at c + y - 1
-        def walk(*args):
-            raise AssertionError("mle walked")
-
-        monkeypatch.setattr(kernel, "_walk", walk)
+        # five c + y - 1 >= N/2, and the search starts at c + y - 1
+        monkeypatch.setattr(kernel, "_walk", _refuse_walk)
         shapes = [(N, c, total - c) for N, total, cs in _LIKELIHOOD_SHAPES for c in cs]
         shapes += [(20, 8, 3), (12, 1, 10), (21, 3, 10), (41, 5, 20), (42, 1, 25)]
         for N, c, y in shapes + list(BENCHMARK_MLE):
@@ -632,10 +633,7 @@ class TestMleAgainstExactRoot:
     def test_large_inputs_take_no_walk(self, N, c, y, hi, monkeypatch):
         # as above; walking at every read took 43 s at N = 10**8 and gave the
         # same estimate
-        def walk(*args):
-            raise AssertionError("mle walked")
-
-        monkeypatch.setattr(kernel, "_walk", walk)
+        monkeypatch.setattr(kernel, "_walk", _refuse_walk)
         assert mle(N, c, y) == {hi, N - hi}
 
     def test_benchmark_shapes_are_pinned(self):
