@@ -390,10 +390,11 @@ def profile(
     """L on an inclusive lo:hi:step grid, plus the maximizer set.
 
     Bad shapes and impossible y raise as in mle. A grid point where L is
-    undefined (the two-term sum is not positive there) gets nan. A grid
-    that is not three numbers, whose ends, step, point count or points are
-    not finite, or that has more than _MAX_ROWS = 10**6 points, the cap on
-    a table's rows, raises ParameterError.
+    undefined (the two-term sum is not positive there, or m is outside
+    [0, N]) gets nan. A grid that is not three numbers, whose ends, step,
+    point count or points are not finite, or that has more than
+    _MAX_ROWS = 10**6 points, the cap on a table's rows, raises
+    ParameterError.
     """
     if not (isinstance(grid_spec, Sequence) and len(grid_spec) == 3):
         raise ParameterError(f"grid must be (lo, hi, step), got {grid_spec!r}")
