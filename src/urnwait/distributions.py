@@ -37,8 +37,8 @@ from .errors import DomainError, ParameterError
 # drops below this; the truncation point is recorded on the table.
 TAIL_EPS = 1e-12
 
-# nb and maxnb tables that would need more rows than this raise DomainError;
-# estimation.profile refuses grids of more points.
+# Tables that would need more rows than this raise DomainError, before any
+# row is built; estimation.profile refuses grids of more points.
 _MAX_ROWS = 10**6
 
 
@@ -611,13 +611,15 @@ def pmf_table(dist: Dist | str, params: UrnParams | BernoulliParams) -> PmfTable
     README, "How tables are computed"). Finite supports are normalized by
     the fsum of their rows. nb and maxnb start from p(0) itself and end at
     the first row past the mode where the geometric tail bound
-    sum p(y) r/(1-r) is below TAIL_EPS; one that would need more than
-    10**6 rows raises DomainError.
+    sum p(y) r/(1-r) is below TAIL_EPS. A table of any law that would need
+    more than _MAX_ROWS = 10**6 rows raises DomainError.
     """
     dist = _check_params(dist, params)
     if dist in (Dist.NB, Dist.MAXNB):
         probs = _open_rows(dist, params)
         trunc = len(probs) - 1
+    elif _LAST_Y[dist](params) >= _MAX_ROWS:
+        raise DomainError(f"{dist.value} table at {params} needs more than {_MAX_ROWS} rows")
     else:
         # fsum is exact, so the rows outside lo:hi, all 0.0, change no bit.
         probs, lo, hi = _finite_weights(dist, params)

@@ -3,7 +3,7 @@
 The pmf always has a local mode at y=0 (the first two masses sit in the
 fixed ratio (c+1)/c), and depending on (N, m, c) may grow a second interior
 mode. This module locates the modes of a tabulated pmf and bisects over m
-for where the distribution stays unimodal.
+for where the distribution stays unimodal: where y=0 is the only mode.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .distributions import Dist, PmfTable, UrnParams, maxnh_pmf, pmf_table
-from .distributions import _LAST_Y, _check_band, _check_params, _table
+from .distributions import Dist, PmfTable, UrnParams, maxnh_pmf
+from .distributions import _LAST_Y, _check_band, _check_params, _finite_weights, _float, _table
 from .errors import DomainError
 
 # Table rows carry the rounding of their ratio recurrence, a few ulp per
@@ -27,8 +27,11 @@ EQ_RTOL = 1e-12
 class ModeReport:
     """Local maxima of a pmf table.
 
-    modes always contains 0; is_unimodal means exactly one mode. p0_over_p1
-    is the first mass ratio, nan for a single-point support.
+    For maxnh, modes contains 0 unless the head underflows to 0.0 (as at
+    (N, m, c) = (10**6, 100, 100)): y=0 is then still a mode of the law, but
+    it is not reported. is_unimodal means exactly one reported mode.
+    p0_over_p1 is the first mass ratio, nan for a single-point support and
+    where the second mass underflows to 0.0.
     """
 
     modes: list[int]
@@ -40,9 +43,10 @@ def _eq(a: float, b: float) -> bool:
     return abs(a - b) <= EQ_RTOL * max(abs(a), abs(b))
 
 
-def local_modes(table: PmfTable) -> ModeReport:
-    """Find local maxima; an equal-valued plateau counts once, at its left end."""
-    ys, probs = _table(table).ys, table.probs
+def _modes(probs) -> list[int]:
+    """Indices of the local maxima of probs; an equal-valued plateau (_eq)
+    counts once, at its left end. Every comparison is relative, so the
+    indices do not depend on the scale of probs."""
     n = len(probs)
     modes = []
     i = 0
@@ -53,17 +57,32 @@ def local_modes(table: PmfTable) -> ModeReport:
         rising = i == 0 or probs[i] > probs[i - 1]
         falling = j == n - 1 or probs[j + 1] < probs[j]
         if rising and falling:
-            modes.append(ys[i])
+            modes.append(i)
         i = j + 1
-    ratio = probs[0] / probs[1] if n >= 2 else math.nan
+    return modes
+
+
+def local_modes(table: PmfTable) -> ModeReport:
+    """Find local maxima; an equal-valued plateau counts once, at its left end."""
+    ys, probs = _table(table).ys, table.probs
+    modes = [ys[i] for i in _modes(probs)]
+    ratio = probs[0] / probs[1] if len(probs) >= 2 and probs[1] else math.nan
     return ModeReport(modes, len(modes) == 1, ratio)
 
 
 def p0_p1_ratio(params: UrnParams) -> float:
-    """Pr[Y=0]/Pr[Y=1]; always equals (c+1)/c when y=1 is in support."""
+    """Pr[Y=0]/Pr[Y=1]; always equals (c+1)/c when y=1 is in support.
+
+    Raises DomainError for the support {0}, and where Pr[Y=1] underflows
+    to 0.0 (as at (N, m, c) = (10**6, 100, 100)): the ratio is then not
+    reported.
+    """
     if _LAST_Y[_check_params(Dist.MAXNH, params)](params) < 1:
         raise DomainError("support is {0}: the ratio needs y=1 in support")
-    return maxnh_pmf(params, 0) / maxnh_pmf(params, 1)
+    p1 = maxnh_pmf(params, 1)
+    if not p1:
+        raise DomainError(f"Pr[Y=1] underflows to 0.0 at {params}")
+    return maxnh_pmf(params, 0) / p1
 
 
 def unimodal_m_range(N: int, c: int) -> list[tuple[int, int]]:
@@ -73,14 +92,22 @@ def unimodal_m_range(N: int, c: int) -> list[tuple[int, int]]:
     m = c = N/2. On c <= m <= N/2 the verdict is bimodal below some m* and
     unimodal from m* on (measured, not proven: exact-rational verdicts
     certify it for every (N, c) with N <= 100), so m* is found by bisection
-    from about log2 N tables. The tables of m and N-m are bit-identical
+    from about log2 N verdicts. The rows of m and N-m are bit-identical
     (distributions._log_comb), so the answer is [(m*, N - m*)], or [] when
-    m = N//2 is not unimodal. Raises when no valid m exists.
+    m = N//2 is not unimodal. Raises when no valid m exists, and for N
+    above 2**53, which lgamma reads as a float.
+
+    A verdict reads the unnormalized rows of distributions._finite_weights
+    over their span and holds when y=0 is the only mode. It is not a count
+    of modes: y=0 is always one, and where the head underflows to 0.0 only
+    the bulk's mode is left to count.
     """
     _check_band(N, c)
+    _float("N", N)
 
     def unimodal(m: int) -> bool:
-        return local_modes(pmf_table(Dist.MAXNH, UrnParams(N, m, c))).is_unimodal
+        w, lo, hi = _finite_weights(Dist.MAXNH, UrnParams(N, m, c))
+        return _modes(w[lo:hi]) == [0]  # maxnh's span starts at lo = 0
 
     if N == 2 * c or not unimodal(N // 2):
         return []

@@ -182,6 +182,12 @@ class TestConvergenceSweep:
         assert all(a > b for a, b in zip(tvs, tvs[1:]))
         assert all(0.0 <= tv <= 1.0 for tv in tvs)
 
+    def test_table_past_the_row_cap_raises(self):
+        with pytest.raises(DomainError, match="1000000 rows"):
+            convergence_sweep(
+                ApproxKind.GAMMA_LIMIT, lambda n: UrnParams(n, 2 * n // 5, 3), [2**64]
+            )
+
     def test_halfnormal_regime_frozen_values(self):
         got = convergence_sweep(
             ApproxKind.HALFNORMAL_LIMIT,

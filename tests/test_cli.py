@@ -218,6 +218,22 @@ class TestModes:
         assert code == 0
         assert out == "m_lo,m_hi\n35144,64856\n"
 
+    def test_underflowed_head_scan(self, capsys):
+        code, out, _ = run(["modes", "--N", "40000", "--c", "6000"], capsys)
+        assert (code, out) == (0, "m_lo,m_hi\n19842,20158\n")
+
+    def test_underflowed_head_report(self, capsys):
+        # p(0) and p(1) underflow to 0.0, so neither y=0 nor the ratio is reported
+        code, out, _ = run(["modes", "--N", "1000000", "--m", "100", "--c", "100"], capsys)
+        assert code == 0
+        mode_list, _, ratio = rows(out)[1][0]
+        assert (mode_list, ratio) == ("999800", "nan")
+
+    def test_table_past_the_row_cap_exits_2(self, capsys):
+        code, out, err = run(["pmf", "maxnh", "--N", "3000000", "--m", "1000000", "--c", "10"], capsys)
+        assert (code, out) == (2, "")
+        assert "1000000 rows" in err
+
     def test_empty_scan_notes_and_exits_zero(self, capsys):
         code, out, err = run(["modes", "--N", "10", "--c", "5"], capsys)
         assert code == 0

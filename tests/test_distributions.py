@@ -391,6 +391,25 @@ class TestSupportAndTables:
             pmf_table(dist, BernoulliParams(c, p))
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize(
+        "dist, params",
+        [
+            (Dist.MAXNH, UrnParams(2**64, 2**63, 1)),
+            (Dist.NH, UrnParams(2**61, 2**60, 1)),
+            (Dist.MINNH, UrnParams(2**64, 2**63, 2**62)),
+            (Dist.MINNB, BernoulliParams(10**12, 0.5)),
+            (Dist.NH, UrnParams(10**6 + 1, 1, 1)),
+        ],
+    )
+    def test_finite_row_cap_refused_up_front(self, dist, params):
+        # The first four would overflow an index or run out of memory
+        # building their rows.
+        with pytest.raises(DomainError, match="1000000 rows"):
+            pmf_table(dist, params)
+
+    def test_finite_table_at_the_row_cap(self):
+        assert len(pmf_table(Dist.NH, UrnParams(10**6, 1, 1)).ys) == 10**6
+
     def test_tail_rows_is_a_lower_bound(self):
         # Every table takes at least _tail_rows rows, so the up-front test
         # refuses no shape whose walk would end inside the cap. For nb at

@@ -63,6 +63,13 @@ class TestLocalModes:
         assert report.is_unimodal
         assert math.isnan(report.p0_over_p1)
 
+    def test_underflowed_head_is_not_reported(self):
+        # p(0) and p(1) underflow to 0.0; y=0 is still a mode of the law
+        for N, c in ((10**6, 100), (10**5, 200)):
+            report = local_modes(_maxnh_table(N, c, c))
+            assert report.modes == [N - 2 * c]
+            assert math.isnan(report.p0_over_p1)
+
     def test_flat_tail_c_one(self):
         # m = c = 1 gives p(0) = 2/N and a flat 1/N tail: one mode at 0
         report = local_modes(_maxnh_table(10, 1, 1))
@@ -96,6 +103,11 @@ class TestHeadRatio:
     def test_point_support_raises(self):
         with pytest.raises(DomainError):
             p0_p1_ratio(UrnParams(6, 3, 3))
+
+    @pytest.mark.parametrize("N,c", [(10**6, 100), (10**5, 200)])
+    def test_underflowed_second_mass_raises(self, N, c):
+        with pytest.raises(DomainError):
+            p0_p1_ratio(UrnParams(N, c, c))
 
     def test_two_point_support_is_fine(self):
         assert p0_p1_ratio(UrnParams(9, 4, 4)) == pytest.approx(5 / 4, rel=1e-10)
@@ -154,6 +166,7 @@ class TestUnimodalRange:
         assert unimodal_m_range(N, c) == oracles.unimodal_scan(N, c, _unimodal(N, c))
 
     def test_every_small_population_equals_the_full_band(self):
+        # the span verdict against local_modes of every full table
         for N in range(2, 101):
             for c in range(1, N // 2 + 1):
                 assert unimodal_m_range(N, c) == oracles.unimodal_scan(
@@ -182,17 +195,36 @@ class TestUnimodalRange:
                 assert unimodal_m_range(N, c) == want, (N, c)
 
     def test_large_population_in_few_tables(self, monkeypatch):
-        tables = 0
-        build = modes.pmf_table
+        calls, tables = 0, 0
+        weights, init = modes._finite_weights, PmfTable.__init__
 
         def counted(*args):
+            nonlocal calls
+            calls += 1
+            return weights(*args)
+
+        def built(*args):
             nonlocal tables
             tables += 1
-            return build(*args)
+            init(*args)
 
-        monkeypatch.setattr(modes, "pmf_table", counted)
+        monkeypatch.setattr(modes, "_finite_weights", counted)
+        monkeypatch.setattr(PmfTable, "__init__", built)
         assert unimodal_m_range(100_000, 10) == [(35144, 64856)]
-        assert tables <= 17
+        assert calls <= 17
+        assert tables == 0
+
+    def test_million_population(self):
+        assert unimodal_m_range(10**6, 10) == [(351423, 648577)]
+
+    @pytest.mark.parametrize(
+        "N,c,want", [(40000, 6000, [(19842, 20158)]), (40000, 12000, [(19917, 20083)])]
+    )
+    def test_underflowed_head_is_bimodal(self, N, c, want):
+        # At m = 13000 < m* of (40000, 6000) the head underflows to 0.0, so
+        # the bulk's mode is the only one left to count; y=0 is a mode too,
+        # so the verdict there must read bimodal (checked in log space).
+        assert unimodal_m_range(N, c) == want
 
     def test_rejects_impossible_shapes(self):
         with pytest.raises(ParameterError):
@@ -203,3 +235,8 @@ class TestUnimodalRange:
             unimodal_m_range(10.0, 2)
         with pytest.raises(ParameterError):
             unimodal_m_range(2, True)
+
+    @pytest.mark.parametrize("N", [2**60, 2**64])
+    def test_rejects_N_past_float_range(self, N):
+        with pytest.raises(ParameterError):
+            unimodal_m_range(N, 1)
