@@ -45,8 +45,9 @@ def _eq(a: float, b: float) -> bool:
 
 def _modes(probs) -> list[int]:
     """Indices of the local maxima of probs; an equal-valued plateau (_eq)
-    counts once, at its left end. Every comparison is relative, so the
-    indices do not depend on the scale of probs."""
+    counts once, at its left end. Every comparison is relative, so scaling
+    probs moves no index, unless two neighbours differ by about EQ_RTOL or
+    a row leaves the range of normal floats."""
     n = len(probs)
     modes = []
     i = 0
