@@ -154,7 +154,7 @@ def convergence_sweep(
     for size in sizes:
         params = regime(_int("size", size))
         exact = pmf_table(Dist.MAXNH, params)
-        approx = _approx_values(kind, params, exact.ys)
+        approx = _approx_values(kind, params, range(len(exact.probs)))
         total = math.fsum(approx)
         if total <= 0.0:
             raise DomainError(f"approximation mass vanished at size {size}")

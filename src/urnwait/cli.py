@@ -90,10 +90,10 @@ def cmd_pmf(args: argparse.Namespace) -> int:
     table = pmf_table(dist, _build_params(dist, args))
     if args.cdf:
         # table._cum[y] is cdf(table, y) on every row of the table
-        rows = zip(table.ys, table.probs, table._cum)
-        _emit("y,pmf,cdf", (f"{y},{p:.9g},{s:.9g}\n" for y, p, s in rows))
+        rows = enumerate(zip(table.probs, table._cum))
+        _emit("y,pmf,cdf", (f"{y},{p:.9g},{s:.9g}\n" for y, (p, s) in rows))
     else:
-        _emit("y,pmf", (f"{y},{p:.9g}\n" for y, p in zip(table.ys, table.probs)))
+        _emit("y,pmf", (f"{y},{p:.9g}\n" for y, p in enumerate(table.probs)))
     return 0
 
 
@@ -104,7 +104,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     config = SimConfig(seed=args.seed, trials=args.trials)
     if args.empirical_pmf:
         table = empirical_pmf(scheme, params, config)
-        _emit("y,freq", (f"{y},{p:.9g}\n" for y, p in zip(table.ys, table.probs)))
+        _emit("y,freq", (f"{y},{p:.9g}\n" for y, p in enumerate(table.probs)))
         return 0
     _emit(
         "y,terminal_color,count1,count2",

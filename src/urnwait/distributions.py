@@ -28,7 +28,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, truediv
+from itertools import repeat
+from operator import add, mul, truediv
 
 from . import kernel
 from .errors import DomainError, ParameterError
@@ -130,7 +131,7 @@ class BernoulliParams:
 class PmfTable:
     """A distribution tabulated over its (possibly truncated) support.
 
-    ys always starts at 0 and is contiguous. truncation is None for finite
+    probs[y] is the mass at y, from y = 0 on. truncation is None for finite
     supports; for the infinite-support distributions it records the largest
     tabulated y: the first row past the mode at which a geometric bound on
     the untabulated tail mass is below TAIL_EPS (see pmf_table).
@@ -138,9 +139,13 @@ class PmfTable:
 
     dist: Dist
     params: UrnParams | BernoulliParams
-    ys: list[int]
     probs: list[float]
     truncation: int | None = None
+
+    @property
+    def ys(self) -> list[int]:
+        """The tabulated ys, list(range(len(probs))): a new list on each read."""
+        return list(range(len(self.probs)))
 
     @functools.cached_property
     def _cum(self) -> list[float]:
@@ -353,7 +358,7 @@ def support(dist: Dist | str, params: UrnParams | BernoulliParams) -> range:
     """
     last = _LAST_Y[_check_params(dist, params)](params)
     if last == math.inf:
-        return range(0, len(pmf_table(dist, params).ys))
+        return range(0, len(pmf_table(dist, params).probs))
     return range(0, last + 1)
 
 
@@ -365,24 +370,44 @@ def support(dist: Dist | str, params: UrnParams | BernoulliParams) -> range:
 _T_LO, _T_HI = 2.0**-64, 2.0**64
 
 
-def _add_term(w: list[float], rows: range, e: int, ratios) -> int:
-    """Add the term that is 2**e at rows[0], walked along ratios, one per
-    row but the last, to w. Returns the row at which it stopped, or
-    rows.stop: once the term has underflowed to 0.0 ahead of a falling
-    ratio, no later ratio is larger, so every later row would add 0.0."""
+def _term_rows(e: int, ratios) -> list[float]:
+    """The rows of the term that is 2**e at its first row, walked along
+    ratios: one row per ratio and one more. The walk stops short at the row
+    where the term has underflowed to 0.0 ahead of a falling ratio, since no
+    later ratio is larger and every later row would be 0.0."""
     ldexp, frexp = math.ldexp, math.frexp
+    rows: list[float] = []
+    append = rows.append
     t = 1.0
-    for y, r in zip(rows, ratios):
+    for r in ratios:
         v = ldexp(t, e)
         if v == 0.0 and r < 1.0:
-            return y
-        w[y] += v
+            return rows
+        append(v)
         t *= r
         if not _T_LO <= t <= _T_HI:
             t, de = frexp(t)
             e += de
-    w[rows[-1]] += ldexp(t, e)
-    return rows.stop
+    append(ldexp(t, e))
+    return rows
+
+
+def _sum(a: list[float], b: list[float]) -> list[float]:
+    """The rows of two terms that start at the same row, added row by row;
+    the rows that only the longer list has are kept as they are."""
+    if len(a) < len(b):
+        a, b = b, a
+    a[: len(b)] = map(add, a, b)
+    return a
+
+
+def _upward(down: list[float], n: int) -> list[float]:
+    """Rows y = 0..n-1 from the rows walked down from the anchor row y = n;
+    the rows below where the walk stopped are 0.0."""
+    rows = [0.0] * (n + 1 - len(down))
+    rows += reversed(down)
+    rows.pop()  # the anchor row y = n
+    return rows
 
 
 def _urn_ratios(k: int, a: int, j: int, n: int, count: int):
@@ -422,14 +447,14 @@ def _exponent(log_anchor: float) -> int:
     return round(log_anchor / kernel._LN2) + 64
 
 
-def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
-    """Rows proportional to the pmf of nh, maxnh, minnh or minnb, and the
-    span lo:hi outside which every row is 0.0.
+def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> list[float]:
+    """Rows proportional to the pmf of nh, maxnh, minnh or minnb, from y = 0
+    to the last row that a term walked; every later row of the support is
+    0.0, and is not in the list.
 
     The anchor values come from lgamma, which only sets the scale: the
     rows are normalized afterwards.
     """
-    n = _LAST_Y[dist](params) + 1
     if dist is Dist.MINNB:
         # Both terms equal C(2c-1, c-1) (pq)^c at y = c, one row past the
         # support. Recur down from there: p(y)/p(y+1) = (y+1) / ((c+y) f),
@@ -437,9 +462,8 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
         # taken as the exact rational pn/pd that the float holds.
         c, p = params.c, params.p
         pn, pd = p.as_integer_ratio()
-        w = [0.0] * (n + 1)
-        lo = n
         log_pq = c * math.log(p * (1.0 - p))
+        down: list[float] = []
         for fn in (pd - pn, pn):
             # At subnormal f a ratio into row k-1 can pass 2**1023, so this
             # term's row k is below 2**-1023; it walks from the top row whose
@@ -452,41 +476,30 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> tuple:
             dens = range((c + top - 1) * fn, (c - 1) * fn, -fn)
             ratios = map(truediv, range(top * pd, 0, -pd), dens)
             e = _exponent(_log_comb(c + top - 1, c - 1) + log_pq - (c - top) * log_f)
-            lo = min(lo, _add_term(w, range(top, -1, -1), e, ratios))
-        w.pop()  # the anchor row y = n = c
-        return w, lo + 1, n
+            down = _sum(down, [0.0] * (c - top) + _term_rows(e, ratios))
+        return _upward(down, c)
     N, m, c = params.N, params.m, params.c
     if dist is Dist.NH:
         # p(y+1)/p(y) = (c+y)(N-m-y) / ((y+1)(N-c-y)), from p(0) = C(m,c)/C(N,c).
-        w = [0.0] * n
         e = _exponent(_log_comb(m, c) - _log_comb(N, c))
-        ratios = _urn_ratios(c, N - m, 1, N - c, n - 1)
-        return w, 0, _add_term(w, range(n), e, ratios)
+        return _term_rows(e, _urn_ratios(c, N - m, 1, N - c, N - m))
     if dist is Dist.MAXNH:
         # Both terms equal p(0)/2 = C(N-2c, m-c) C(2c, c) / (2 C(N, m)) at
         # y = 0; the term for color count a has ratio
         # (2c+y)(a-c-y) / ((c+y+1)(N-2c-y)), which reaches 0 past y = a-c.
-        w = [0.0] * n
+        last = max(m, N - m) - c
         log_p0 = _log_comb(N - 2 * c, m - c) + _log_comb(2 * c, c) - _log_comb(N, m)
         e = _exponent(log_p0 - kernel._LN2)
-        hi = 0
-        for a in (m, N - m):
-            ratios = _urn_ratios(2 * c, a - c, c + 1, N - 2 * c, n - 1)
-            hi = max(hi, _add_term(w, range(n), e, ratios))
-        return w, 0, hi
+        terms = (_term_rows(e, _urn_ratios(2 * c, a - c, c + 1, N - 2 * c, last)) for a in (m, N - m))
+        return _sum(*terms)
     # minnh is the sum of two nh-like terms, C(m,c) C(N-m,y) and C(m,y)
     # C(N-m,c) over C(N,c+y), times c/(c+y). Both equal
     # C(m,c) C(N-m,c) / (2 C(N,2c)) at y = c, one row past the support; with
     # b the other color's count, p(y)/p(y+1) = (y+1)(N-c-y) / ((c+y)(b-y)),
     # written below with i = c-1-y.
-    w = [0.0] * (n + 1)
-    lo = n
     e = _exponent(_log_comb(m, c) + _log_comb(N - m, c) - _log_comb(N, 2 * c) - kernel._LN2)
-    for b in (N - m, m):
-        ratios = _urn_ratios(N - 2 * c + 1, c, b - c + 1, 2 * c - 1, c)
-        lo = min(lo, _add_term(w, range(n, -1, -1), e, ratios))
-    w.pop()  # the anchor row y = n = c
-    return w, lo + 1, n
+    terms = (_term_rows(e, _urn_ratios(N - 2 * c + 1, c, b - c + 1, 2 * c - 1, c)) for b in (N - m, m))
+    return _upward(_sum(*terms), c)
 
 
 def _rows_capped(dist: Dist, params: BernoulliParams) -> bool:
@@ -617,16 +630,15 @@ def pmf_table(dist: Dist | str, params: UrnParams | BernoulliParams) -> PmfTable
     dist = _check_params(dist, params)
     if dist in (Dist.NB, Dist.MAXNB):
         probs = _open_rows(dist, params)
-        trunc = len(probs) - 1
-    elif _LAST_Y[dist](params) >= _MAX_ROWS:
+        return PmfTable(dist, params, probs, len(probs) - 1)
+    n = _LAST_Y[dist](params) + 1
+    if n > _MAX_ROWS:
         raise DomainError(f"{dist.value} table at {params} needs more than {_MAX_ROWS} rows")
-    else:
-        # fsum is exact, so the rows outside lo:hi, all 0.0, change no bit.
-        probs, lo, hi = _finite_weights(dist, params)
-        total = math.fsum(probs[lo:hi])
-        probs[lo:hi] = [v / total if v else 0.0 for v in probs[lo:hi]]
-        trunc = None
-    return PmfTable(dist, params, list(range(len(probs))), probs, trunc)
+    rows = _finite_weights(dist, params)
+    total = math.fsum(rows)
+    probs = [v / total if v else 0.0 for v in rows]
+    probs.extend(repeat(0.0, n - len(probs)))
+    return PmfTable(dist, params, probs)
 
 
 def cdf(table: PmfTable, y: int) -> float:
@@ -645,9 +657,10 @@ def quantile(table: PmfTable, u: float) -> int:
     if not 0.0 <= _real("u", u) <= 1.0:
         raise DomainError(f"quantile level must lie in [0, 1], got {u!r}")
     i = bisect.bisect_left(_table(table)._cum, u)
-    return table.ys[min(i, len(table.ys) - 1)]
+    return min(i, len(table.probs) - 1)
 
 
 def mean(table: PmfTable) -> float:
     """Sum of y * p(y) over the table."""
-    return math.fsum(map(mul, _table(table).ys, table.probs))
+    probs = _table(table).probs
+    return math.fsum(map(mul, range(len(probs)), probs))

@@ -29,9 +29,11 @@ class ModeReport:
 
     For maxnh, modes contains 0 unless the head underflows to 0.0 (as at
     (N, m, c) = (10**6, 100, 100)): y=0 is then still a mode of the law, but
-    it is not reported. is_unimodal means exactly one reported mode.
-    p0_over_p1 is the first mass ratio, nan for a single-point support and
-    where the second mass underflows to 0.0.
+    it is not reported. Since y=0 is always a mode of maxnh, is_unimodal
+    there means modes == [0], as in unimodal_m_range's verdict, so an
+    underflowed head reads bimodal; for every other law it means exactly
+    one reported mode. p0_over_p1 is the first mass ratio, nan for a
+    single-point support and where the second mass underflows to 0.0.
     """
 
     modes: list[int]
@@ -65,10 +67,11 @@ def _modes(probs) -> list[int]:
 
 def local_modes(table: PmfTable) -> ModeReport:
     """Find local maxima; an equal-valued plateau counts once, at its left end."""
-    ys, probs = _table(table).ys, table.probs
-    modes = [ys[i] for i in _modes(probs)]
+    probs = _table(table).probs
+    modes = _modes(probs)
     ratio = probs[0] / probs[1] if len(probs) >= 2 and probs[1] else math.nan
-    return ModeReport(modes, len(modes) == 1, ratio)
+    unimodal = modes == [0] if table.dist is Dist.MAXNH else len(modes) == 1
+    return ModeReport(modes, unimodal, ratio)
 
 
 def p0_p1_ratio(params: UrnParams) -> float:
@@ -98,17 +101,24 @@ def unimodal_m_range(N: int, c: int) -> list[tuple[int, int]]:
     m = N//2 is not unimodal. Raises when no valid m exists, and for N
     above 2**53, which lgamma reads as a float.
 
-    A verdict reads the unnormalized rows of distributions._finite_weights
-    over their span and holds when y=0 is the only mode. It is not a count
-    of modes: y=0 is always one, and where the head underflows to 0.0 only
-    the bulk's mode is left to count.
+    A verdict reads the unnormalized rows of distributions._finite_weights,
+    which end where both terms have stopped, and holds when y=0 is the only
+    mode. It is not a count of modes: y=0 is always one, and where the head
+    underflows to 0.0 only the bulk's mode is left to count. Where neither
+    term rises from y=0 the verdict holds without a walk.
     """
     _check_band(N, c)
     _float("N", N)
 
     def unimodal(m: int) -> bool:
-        w, lo, hi = _finite_weights(Dist.MAXNH, UrnParams(N, m, c))
-        return _modes(w[lo:hi]) == [0]  # maxnh's span starts at lo = 0
+        # A term's ratio (2c+y)(a-c-y) / ((c+y+1)(N-2c-y)) never grows in y,
+        # so where it is at most 1 at y=0 for a = max(m, N-m) neither term
+        # rises, and neither do their rounded rows or the rows' sum: y=0 is
+        # the only mode. This holds for every m at c=1, where the rows of
+        # small m reach across the whole support.
+        if 2 * c * (max(m, N - m) - c) <= (c + 1) * (N - 2 * c):
+            return True
+        return _modes(_finite_weights(Dist.MAXNH, UrnParams(N, m, c))) == [0]
 
     if N == 2 * c or not unimodal(N // 2):
         return []

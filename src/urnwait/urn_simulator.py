@@ -343,9 +343,8 @@ def empirical_pmf(
     and its dist is the Dist member, as in pmf_table.
     """
     counts = Counter(map(itemgetter(0), _run(scheme, params, config)))
-    ys = list(range(max(counts) + 1))
-    probs = [counts[y] / config.trials for y in ys]
-    return PmfTable(_member(Dist, scheme), params, ys, probs, None)
+    probs = [counts[y] / config.trials for y in range(max(counts) + 1)]
+    return PmfTable(_member(Dist, scheme), params, probs, None)
 
 
 def tv_distance(a: PmfTable, b: PmfTable) -> float:

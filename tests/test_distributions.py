@@ -10,6 +10,7 @@ import itertools
 import math
 import struct
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,10 @@ from urnwait import (
     Dist,
     DomainError,
     ParameterError,
+    SimConfig,
     UrnParams,
     cdf,
+    empirical_pmf,
     exact_pmf,
     maxnh_p0,
     mean,
@@ -409,6 +412,50 @@ class TestSupportAndTables:
 
     def test_finite_table_at_the_row_cap(self):
         assert len(pmf_table(Dist.NH, UrnParams(10**6, 1, 1)).ys) == 10**6
+
+    @pytest.mark.parametrize(
+        "dist, params",
+        [
+            (Dist.NB, BernoulliParams(3, 0.4)),
+            (Dist.MAXNB, BernoulliParams(3, 0.4)),
+            (Dist.MINNB, BernoulliParams(5, 0.3)),
+            (Dist.NH, UrnParams(40, 15, 4)),
+            (Dist.MAXNH, UrnParams(40, 15, 4)),
+            (Dist.MINNH, UrnParams(40, 15, 4)),
+        ],
+    )
+    def test_ys_is_derived_from_probs(self, dist, params):
+        for t in (pmf_table(dist, params), empirical_pmf(dist, params, SimConfig(3, 200))):
+            ys = t.ys
+            assert ys == list(range(len(t.probs)))
+            ys[0] = -1
+            ys.append(len(ys))
+            assert t.ys == list(range(len(t.probs)))
+        assert len(pmf_table(dist, params).probs) == len(support(dist, params))
+
+    @pytest.mark.parametrize(
+        "dist, params",
+        [(Dist.NH, UrnParams(10**5, 9 * 10**4, 50)), (Dist.MAXNH, UrnParams(10**5, 4 * 10**4, 50))],
+    )
+    def test_rows_past_the_walk_are_zero(self, dist, params):
+        # the walk ends where its terms have underflowed, and the table pads
+        # the rest of the support with 0.0
+        t = pmf_table(dist, params)
+        walked = len(distributions._finite_weights(dist, params))
+        assert walked < len(t.probs) == len(support(dist, params))
+        assert not any(t.probs[walked:])
+
+    def test_table_near_the_row_cap_holds_only_its_mass(self):
+        # 999 991 rows, about 2000 of them walked: the rest are one shared
+        # 0.0, so the table holds little more than its list of 8-byte slots
+        tracemalloc.start()
+        try:
+            t = pmf_table(Dist.MAXNH, UrnParams(1_200_000, 200_000, 10))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(t.probs) == 999_991
+        assert held < 10**7
 
     def test_tail_rows_is_a_lower_bound(self):
         # Every table takes at least _tail_rows rows, so the up-front test

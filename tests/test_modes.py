@@ -2,6 +2,8 @@
 
 import functools
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,7 @@ _DUMMY = UrnParams(15, 6, 3)
 
 
 def _table(probs):
-    return PmfTable(Dist.MAXNH, _DUMMY, list(range(len(probs))), probs, None)
+    return PmfTable(Dist.MAXNH, _DUMMY, probs, None)
 
 
 def _maxnh_table(N, m, c):
@@ -69,6 +71,7 @@ class TestLocalModes:
             report = local_modes(_maxnh_table(N, c, c))
             assert report.modes == [N - 2 * c]
             assert math.isnan(report.p0_over_p1)
+            assert not report.is_unimodal
 
     def test_flat_tail_c_one(self):
         # m = c = 1 gives p(0) = 2/N and a flat 1/N tail: one mode at 0
@@ -216,6 +219,35 @@ class TestUnimodalRange:
 
     def test_million_population(self):
         assert unimodal_m_range(10**6, 10) == [(351423, 648577)]
+
+    @pytest.mark.parametrize(
+        "N,c,want", [(10**8, 10, [(35142034, 64857966)]), (10**6, 1, [(1, 10**6 - 1)])]
+    )
+    def test_verdicts_cost_their_span(self, N, c, want):
+        # A verdict walks only the rows that hold mass, a few thousand at
+        # (10**8, 10); at c=1 neither term rises from y=0, so no row is walked.
+        tracemalloc.start()
+        try:
+            got = unimodal_m_range(N, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 5 * 10**6
+
+    def test_bisection_equals_the_full_scan_on_random_shapes(self):
+        # The bisection assumes the verdict is monotone in m: hold it to the
+        # scan of the whole band, with the verdict's own reading of the rows.
+        rng = random.Random(24)
+        for _ in range(8):
+            N = rng.randint(101, 1000)
+            c = rng.randint(1, N // 2)
+
+            def verdict(m):
+                rows = modes._finite_weights(Dist.MAXNH, UrnParams(N, m, c))
+                return modes._modes(rows) == [0]
+
+            assert unimodal_m_range(N, c) == oracles.unimodal_scan(N, c, verdict), (N, c)
 
     @pytest.mark.parametrize(
         "N,c,want", [(40000, 6000, [(19842, 20158)]), (40000, 12000, [(19917, 20083)])]

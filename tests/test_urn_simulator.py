@@ -557,9 +557,7 @@ class TestEmpiricalPmf:
 
 class TestTvDistance:
     def _table(self, probs):
-        return PmfTable(
-            Dist.MAXNH, UrnParams(15, 6, 3), list(range(len(probs))), probs, None
-        )
+        return PmfTable(Dist.MAXNH, UrnParams(15, 6, 3), probs, None)
 
     def test_identity(self):
         t = pmf_table(Dist.MAXNH, UrnParams(15, 6, 3))
