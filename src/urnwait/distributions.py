@@ -447,6 +447,20 @@ def _exponent(log_anchor: float) -> int:
     return round(log_anchor / kernel._LN2) + 64
 
 
+def _maxnh_exponent(N: int, m: int, c: int) -> int:
+    # Both terms equal p(0)/2 = C(N-2c, m-c) C(2c, c) / (2 C(N, m)) at y = 0.
+    log_p0 = _log_comb(N - 2 * c, m - c) + _log_comb(2 * c, c) - _log_comb(N, m)
+    return _exponent(log_p0 - kernel._LN2)
+
+
+def _maxnh_rows(N: int, m: int, c: int, e: int, count: int) -> list[float]:
+    """maxnh's rows from y = 0, where both terms are 2**e, along each term's
+    first count ratios; the term for color count a has ratio
+    (2c+y)(a-c-y) / ((c+y+1)(N-2c-y)), which reaches 0 past y = a-c."""
+    terms = (_term_rows(e, _urn_ratios(2 * c, a - c, c + 1, N - 2 * c, count)) for a in (m, N - m))
+    return _sum(*terms)
+
+
 def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> list[float]:
     """Rows proportional to the pmf of nh, maxnh, minnh or minnb, from y = 0
     to the last row that a term walked; every later row of the support is
@@ -484,14 +498,7 @@ def _finite_weights(dist: Dist, params: UrnParams | BernoulliParams) -> list[flo
         e = _exponent(_log_comb(m, c) - _log_comb(N, c))
         return _term_rows(e, _urn_ratios(c, N - m, 1, N - c, N - m))
     if dist is Dist.MAXNH:
-        # Both terms equal p(0)/2 = C(N-2c, m-c) C(2c, c) / (2 C(N, m)) at
-        # y = 0; the term for color count a has ratio
-        # (2c+y)(a-c-y) / ((c+y+1)(N-2c-y)), which reaches 0 past y = a-c.
-        last = max(m, N - m) - c
-        log_p0 = _log_comb(N - 2 * c, m - c) + _log_comb(2 * c, c) - _log_comb(N, m)
-        e = _exponent(log_p0 - kernel._LN2)
-        terms = (_term_rows(e, _urn_ratios(2 * c, a - c, c + 1, N - 2 * c, last)) for a in (m, N - m))
-        return _sum(*terms)
+        return _maxnh_rows(N, m, c, _maxnh_exponent(N, m, c), max(m, N - m) - c)
     # minnh is the sum of two nh-like terms, C(m,c) C(N-m,y) and C(m,y)
     # C(N-m,c) over C(N,c+y), times c/(c+y). Both equal
     # C(m,c) C(N-m,c) / (2 C(N,2c)) at y = c, one row past the support; with

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .distributions import Dist, PmfTable, UrnParams, maxnh_pmf
-from .distributions import _LAST_Y, _check_band, _check_params, _finite_weights, _float, _table
+from .distributions import _LAST_Y, _MAX_ROWS, _check_band, _check_params, _float, _table
+from .distributions import _maxnh_exponent, _maxnh_rows
 from .errors import DomainError
 
 # Table rows carry the rounding of their ratio recurrence, a few ulp per
@@ -89,6 +90,22 @@ def p0_p1_ratio(params: UrnParams) -> float:
     return maxnh_pmf(params, 0) / p1
 
 
+def _unimodal(N: int, m: int, c: int) -> bool:
+    """Whether y=0 is the only mode of maxnh at (N, m, c), read from rows
+    0..y* alone: no term's rounded rows, nor their sum, rise past y*, the
+    first y where the larger term's ratio is at most 1 (README, "How the
+    unimodal range is found")."""
+    a = max(m, N - m)
+    d = 2 * c * (a - c) - (c + 1) * (N - 2 * c)  # the ratio is <= 1 iff y (N-a-1) >= d
+    y_star = -(-d // (N - a - 1)) if d > 0 else 0
+    e = _maxnh_exponent(N, m, c)
+    if e < -1074:  # row 0 is 0.0: the bulk's mode is a second one
+        return False
+    if y_star > _MAX_ROWS:
+        raise DomainError(f"verdict at (N, m, c) = ({N}, {m}, {c}) needs more than {_MAX_ROWS} rows")
+    return _modes(_maxnh_rows(N, m, c, e, y_star)) == [0]
+
+
 def unimodal_m_range(N: int, c: int) -> list[tuple[int, int]]:
     """All m whose distribution is unimodal, as a list of intervals (lo, hi).
 
@@ -101,26 +118,16 @@ def unimodal_m_range(N: int, c: int) -> list[tuple[int, int]]:
     m = N//2 is not unimodal. Raises when no valid m exists, and for N
     above 2**53, which lgamma reads as a float.
 
-    A verdict reads the unnormalized rows of distributions._finite_weights,
-    which end where both terms have stopped, and holds when y=0 is the only
-    mode. It is not a count of modes: y=0 is always one, and where the head
-    underflows to 0.0 only the bulk's mode is left to count. Where neither
-    term rises from y=0 the verdict holds without a walk.
+    A verdict (_unimodal) reads maxnh's unnormalized rows only up to y*,
+    past which no row rises, and holds when y=0 is the only mode among
+    them. It is not a count of modes: y=0 is always one, so where the head
+    underflows to 0.0 the verdict is bimodal, read from the anchor exponent
+    without a walk. A verdict that needs more than 10**6 rows raises
+    DomainError, as a table past the same cap does.
     """
     _check_band(N, c)
     _float("N", N)
-
-    def unimodal(m: int) -> bool:
-        # A term's ratio (2c+y)(a-c-y) / ((c+y+1)(N-2c-y)) never grows in y,
-        # so where it is at most 1 at y=0 for a = max(m, N-m) neither term
-        # rises, and neither do their rounded rows or the rows' sum: y=0 is
-        # the only mode. This holds for every m at c=1, where the rows of
-        # small m reach across the whole support.
-        if 2 * c * (max(m, N - m) - c) <= (c + 1) * (N - 2 * c):
-            return True
-        return _modes(_finite_weights(Dist.MAXNH, UrnParams(N, m, c))) == [0]
-
-    if N == 2 * c or not unimodal(N // 2):
+    if N == 2 * c or not _unimodal(N, N // 2, c):
         return []
-    m = c + bisect.bisect_left(range(c, N // 2), True, key=unimodal)
+    m = c + bisect.bisect_left(range(c, N // 2), True, key=lambda m: _unimodal(N, m, c))
     return [(m, N - m)]

@@ -233,6 +233,11 @@ class TestModes:
         assert (code, out) == (2, "")
         assert "1000000 rows" in err
 
+    def test_verdict_past_the_row_cap_exits_2(self, capsys):
+        code, out, err = run(["modes", "--N", str(2**53), "--c", str(2**50)], capsys)
+        assert (code, out) == (2, "")
+        assert "1000000 rows" in err
+
     def test_empty_scan_notes_and_exits_zero(self, capsys):
         code, out, err = run(["modes", "--N", "10", "--c", "5"], capsys)
         assert code == 0

@@ -265,9 +265,11 @@ def _regime(n):
     return UrnParams(n, n // 3, 2)
 
 
-# (N, c) on unimodal_m_range's verdict path at large N, where each verdict
-# walks only the rows that hold mass.
-large_bands = st.tuples(st.integers(10**5, 10**8), st.integers(1, 20))
+# (N, c) on unimodal_m_range's verdict path at large N and any c, where
+# each verdict walks only up to the row past which no row rises.
+large_bands = st.integers(10**5, 10**8).flatmap(
+    lambda N: st.tuples(st.just(N), st.integers(1, N // 2 - 1))
+)
 
 
 @st.composite

@@ -22,7 +22,7 @@ from urnwait import (
     support,
     unimodal_m_range,
 )
-from urnwait import modes
+from urnwait import distributions, modes
 
 _DUMMY = UrnParams(15, 6, 3)
 
@@ -33,6 +33,11 @@ def _table(probs):
 
 def _maxnh_table(N, m, c):
     return pmf_table(Dist.MAXNH, UrnParams(N, m, c))
+
+
+def _full_walk_verdict(N, m, c):
+    # every row of maxnh's support, read as unimodal_m_range reads its rows
+    return modes._modes(distributions._finite_weights(Dist.MAXNH, UrnParams(N, m, c))) == [0]
 
 
 def _unimodal(N, c):
@@ -199,19 +204,19 @@ class TestUnimodalRange:
 
     def test_large_population_in_few_tables(self, monkeypatch):
         calls, tables = 0, 0
-        weights, init = modes._finite_weights, PmfTable.__init__
+        walk, init = modes._maxnh_rows, PmfTable.__init__
 
         def counted(*args):
             nonlocal calls
             calls += 1
-            return weights(*args)
+            return walk(*args)
 
         def built(*args):
             nonlocal tables
             tables += 1
             init(*args)
 
-        monkeypatch.setattr(modes, "_finite_weights", counted)
+        monkeypatch.setattr(modes, "_maxnh_rows", counted)
         monkeypatch.setattr(PmfTable, "__init__", built)
         assert unimodal_m_range(100_000, 10) == [(35144, 64856)]
         assert calls <= 17
@@ -221,11 +226,18 @@ class TestUnimodalRange:
         assert unimodal_m_range(10**6, 10) == [(351423, 648577)]
 
     @pytest.mark.parametrize(
-        "N,c,want", [(10**8, 10, [(35142034, 64857966)]), (10**6, 1, [(1, 10**6 - 1)])]
+        "N,c,want",
+        [
+            (10**8, 10, [(35142034, 64857966)]),
+            (10**6, 1, [(1, 10**6 - 1)]),
+            (10**7, 10**6, [(4996814, 5003186)]),
+        ],
     )
     def test_verdicts_cost_their_span(self, N, c, want):
-        # A verdict walks only the rows that hold mass, a few thousand at
-        # (10**8, 10); at c=1 neither term rises from y=0, so no row is walked.
+        # A verdict walks only up to y*, past which no row rises: a few
+        # thousand rows at (10**8, 10), and none at c=1, where neither term
+        # rises from y=0. At (10**7, 10**6) most probes have underflowed
+        # heads and are read without a walk.
         tracemalloc.start()
         try:
             got = unimodal_m_range(N, c)
@@ -234,6 +246,28 @@ class TestUnimodalRange:
             tracemalloc.stop()
         assert got == want
         assert peak < 5 * 10**6
+
+    def test_verdict_equals_the_full_walk_on_small_populations(self):
+        for N in range(2, 61):
+            for c in range(1, N // 2 + 1):
+                for m in range(c, N - c + 1):
+                    assert modes._unimodal(N, m, c) == _full_walk_verdict(N, m, c), (N, m, c)
+
+    def test_verdict_equals_the_full_walk_on_random_shapes(self):
+        # a random m, which mostly reads bimodal, and the two m on either
+        # side of m*, where the verdict turns
+        rng = random.Random(25)
+        for _ in range(150):
+            N = rng.randint(61, 60000)
+            c = rng.randint(1, N // 2)
+            lo = unimodal_m_range(N, c)[0][0] if N > 2 * c else c
+            for m in {rng.randint(c, N - c), max(c, lo - 1), lo}:
+                assert modes._unimodal(N, m, c) == _full_walk_verdict(N, m, c), (N, m, c)
+
+    @pytest.mark.parametrize("N,c", [(2**53, 2**50), (10**10, 10**9)])
+    def test_verdict_past_the_row_cap_raises(self, N, c):
+        with pytest.raises(DomainError, match="1000000 rows"):
+            unimodal_m_range(N, c)
 
     def test_bisection_equals_the_full_scan_on_random_shapes(self):
         # The bisection assumes the verdict is monotone in m: hold it to the
@@ -244,8 +278,7 @@ class TestUnimodalRange:
             c = rng.randint(1, N // 2)
 
             def verdict(m):
-                rows = modes._finite_weights(Dist.MAXNH, UrnParams(N, m, c))
-                return modes._modes(rows) == [0]
+                return _full_walk_verdict(N, m, c)
 
             assert unimodal_m_range(N, c) == oracles.unimodal_scan(N, c, verdict), (N, c)
 
