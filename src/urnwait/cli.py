@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -65,19 +66,16 @@ def _emit(header: str, lines: Iterable[str]) -> None:
         write(block)
 
 
-def _need(args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join(f"--{n}" for n in missing)
-        raise ParameterError(f"missing required flags: {flags}")
-
-
 def _build_params(dist: Dist, args: argparse.Namespace):
-    if dist in URN_DISTS:
-        _need(args, "N", "m", "c")
-        return UrnParams(args.N, args.m, args.c)
-    _need(args, "c", "p")
-    return BernoulliParams(args.c, args.p)
+    """The law's params from exactly the flags of its family: --N --m --c for
+    an urn law, --c --p for a Bernoulli law."""
+    urn = dist in URN_DISTS
+    names = "Nmc" if urn else "cp"
+    given = "".join(n for n in "Nmcp" if getattr(args, n) is not None)
+    if given != names:
+        want, got = (" ".join(f"--{n}" for n in flags) for flags in (names, given))
+        raise ParameterError(f"{dist.value} takes exactly {want}, got {got or 'none'}")
+    return UrnParams(args.N, args.m, args.c) if urn else BernoulliParams(args.c, args.p)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +98,6 @@ def cmd_pmf(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     scheme = Dist(args.scheme)
     params = _build_params(scheme, args)
-    _need(args, "trials", "seed")
     config = SimConfig(seed=args.seed, trials=args.trials)
     if args.empirical_pmf:
         table = empirical_pmf(scheme, params, config)
@@ -117,7 +114,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_modes(args: argparse.Namespace) -> int:
-    _need(args, "N", "c")
     if args.m is not None:
         params = UrnParams(args.N, args.m, args.c)
         report = local_modes(pmf_table(Dist.MAXNH, params))
@@ -154,7 +150,6 @@ def _maximizers(ms: set[float]) -> str:
 
 
 def cmd_mle(args: argparse.Namespace) -> int:
-    _need(args, "N", "c", "y")
     N, c, y = args.N, args.c, args.y
     report = classify_critical_point(N, c, y)
     phi, kind = report.phi_value, report.classification.value
@@ -220,7 +215,6 @@ def _figure_rows(which: int) -> list[tuple[str, str, float]]:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    _need(args, "which")
     if args.which not in range(1, 7):
         raise ParameterError(f"--which must be 1..6, got {args.which}")
     rows = _figure_rows(args.which)
@@ -342,11 +336,16 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--N", type=int, default=None, help="population size")
-    sub.add_argument("--m", type=int, default=None, help="first-color count")
-    sub.add_argument("--c", type=int, default=None, help="target count")
-    sub.add_argument("--p", type=float, default=None, help="success probability")
+def _add_common(sub: argparse.ArgumentParser, names: str, required: bool = False) -> None:
+    """The law flags whose letters are in names ("Nmcp" for all four)."""
+    for name, kind, text in (
+        ("N", int, "population size"),
+        ("m", int, "first-color count"),
+        ("c", int, "target count"),
+        ("p", float, "success probability"),
+    ):
+        if name in names:
+            sub.add_argument(f"--{name}", type=kind, required=required, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,19 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Waiting-time distributions for two-color urn sampling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)  # --p is not --profile
     names = [d.value for d in Dist]
 
-    p_pmf = sub.add_parser("pmf", help="tabulate a pmf over its support")
+    p_pmf = add("pmf", help="tabulate a pmf over its support")
     p_pmf.add_argument("dist", choices=names)
-    _add_common(p_pmf)
+    _add_common(p_pmf, "Nmcp")
     p_pmf.add_argument("--cdf", action="store_true", help="append a cdf column")
     p_pmf.set_defaults(func=cmd_pmf)
 
-    p_sample = sub.add_parser("sample", help="simulate a sampling scheme")
+    p_sample = add("sample", help="simulate a sampling scheme")
     p_sample.add_argument("scheme", choices=names)
-    _add_common(p_sample)
-    p_sample.add_argument("--trials", type=int, default=None)
-    p_sample.add_argument("--seed", type=int, default=None)
+    _add_common(p_sample, "Nmcp")
+    p_sample.add_argument("--trials", type=int, required=True)
+    p_sample.add_argument("--seed", type=int, required=True)
     p_sample.add_argument(
         "--empirical-pmf",
         action="store_true",
@@ -375,23 +375,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sample.set_defaults(func=cmd_sample)
 
-    p_modes = sub.add_parser("modes", help="mode report or unimodal m ranges")
-    _add_common(p_modes)
+    p_modes = add("modes", help="mode report or unimodal m ranges")
+    _add_common(p_modes, "Nc", required=True)
+    _add_common(p_modes, "m")
     p_modes.set_defaults(func=cmd_modes)
 
-    p_mle = sub.add_parser("mle", help="estimate m from one observed y")
-    _add_common(p_mle)
-    p_mle.add_argument("--y", type=int, default=None, help="observed value")
-    p_mle.add_argument(
-        "--profile", default=None, metavar="LO:HI:STEP", help="also emit the grid"
-    )
+    p_mle = add("mle", help="estimate m from one observed y")
+    _add_common(p_mle, "Nc", required=True)
+    p_mle.add_argument("--y", type=int, required=True, help="observed value")
+    p_mle.add_argument("--profile", metavar="LO:HI:STEP", help="also emit the grid")
     p_mle.set_defaults(func=cmd_mle)
 
-    p_fig = sub.add_parser("figure", help="regenerate a reference figure")
-    p_fig.add_argument("--which", type=int, default=None, help="figure number 1..6")
+    p_fig = add("figure", help="regenerate a reference figure")
+    p_fig.add_argument("--which", type=int, required=True, help="figure number 1..6")
     p_fig.set_defaults(func=cmd_figure)
 
-    p_self = sub.add_parser("selfcheck", help="compare against embedded references")
+    p_self = add("selfcheck", help="compare against embedded references")
     p_self.set_defaults(func=cmd_selfcheck)
 
     return parser

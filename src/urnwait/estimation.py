@@ -29,6 +29,11 @@ from .errors import DomainError, ParameterError
 # Maximizer location tolerance.
 M_TOL = 1e-8
 
+# A profile grid keeps lo + k step while k <= (hi - lo)/step (1 + _GRID_SLACK).
+# The quotient rounds by a few 2**-53 of itself, and at the 10**6-point cap
+# the slack is still under 10**-6 of a step.
+_GRID_SLACK = 2.0**-40
+
 
 class Classification(enum.Enum):
     GLOBAL_MAX_AT_HALF = "global_max_at_half"
@@ -309,18 +314,20 @@ def classify_critical_point(N: int, c: int, y: int) -> CriticalPointReport:
     return CriticalPointReport(v, kind)
 
 
-def _gradient_root(gh, lo: float, hi: float) -> float:
+def _gradient_root(gh, lo: float, hi: float, run: float = math.inf) -> float:
     """Where g = L' falls through zero on (lo, hi], for gh(m) = (L', L'').
 
     L rises just right of lo, so g is never read there. Nor is it read at
-    hi, where a term of D may be zero, but one float inside:
+    hi, where a term of D may be zero, but one float inside, or one float
+    below run where every float of [run, hi] is a zero of D:
     if L still rises there, hi is the maximizer. Otherwise Newton's method
     finishes on (lo, that float] from the midpoint, safeguarded by bisection
     (rtsafe, Numerical Recipes 9.4): a Newton step that would leave the
     bracket, or fails to halve the step before last, is replaced by a
     bisection. It stops at a step below M_TOL/100. Where gh raises
     DomainError (a zero term of D at an integer m), g is read one
-    float further into the bracket.
+    float further into the bracket. Where no float of (lo, hi) lies below
+    run, g can be read nowhere, and DomainError is raised.
     """
 
     def read(x: float, toward: float) -> tuple[float, float, float]:
@@ -330,7 +337,12 @@ def _gradient_root(gh, lo: float, hi: float) -> float:
             except DomainError:
                 x = math.nextafter(x, toward)
 
-    b, g, _ = read(math.nextafter(hi, lo), lo)
+    b = math.nextafter(min(hi, run), lo)
+    if b <= lo:
+        raise DomainError(
+            f"L' cannot be read at any float of ({lo}, {hi}): each is a zero of D"
+        )
+    b, g, _ = read(b, lo)
     if g > 0.0:
         return hi
     a = lo
@@ -380,19 +392,29 @@ def mle(N: int, c: int, y: int) -> set[float]:
     if classify_critical_point(N, c, y).classification is Classification.GLOBAL_MAX_AT_HALF:
         return {N / 2}
     lo = max(N / 2, c + y - 1)
-    m_hat = _gradient_root(lambda m: _grad_hess(m, N, c, y), lo, float(N - c))
+    # From 2**52 up every float is an integer, so D's zeros N - c - i (i < y)
+    # are floats there; the first read starts below them all instead of
+    # stepping past them one at a time
+    run = float(max(N - c - y + 1, 2**52))
+    m_hat = _gradient_root(lambda m: _grad_hess(m, N, c, y), lo, float(N - c), run)
     return {m_hat, N - m_hat}
 
 
 def profile(
     N: int, c: int, y: int, grid_spec: tuple[float, float, float]
 ) -> LikelihoodProfile:
-    """L on an inclusive lo:hi:step grid, plus the maximizer set.
+    """L on the grid lo + k step, k = 0, 1, ..., K, plus the maximizer set.
+
+    K is the largest k with lo + k step <= hi, allowing for the rounding of
+    n = (hi - lo)/step: K = floor(n (1 + _GRID_SLACK)), so a point past hi
+    by at most 2**-40 of the span is kept. (3, 17, 0.25) has 57 points,
+    ending at 17, and (0.1, 0.3, 0.1) 3, though n rounds to
+    1.9999999999999998; (3, 17, 0.3) ends at 16.8.
 
     Bad shapes and impossible y raise as in mle. A grid point where L is
     undefined (the two-term sum is not positive there, or m is outside
     [0, N]) gets nan. A grid that is not three numbers, whose ends, step,
-    point count or points are not finite, or that has more than
+    point count or last point are not finite, or that has more than
     _MAX_ROWS = 10**6 points, the cap on a table's rows, raises
     ParameterError.
     """
@@ -400,10 +422,12 @@ def profile(
         raise ParameterError(f"grid must be (lo, hi, step), got {grid_spec!r}")
     lo, hi, step = map(_real, ("lo", "hi", "step"), grid_spec)
     n = (hi - lo) / step if step > 0 and hi >= lo else math.nan
-    # an end or a step that is not finite makes n or the last point not finite
-    if not (math.isfinite(n) and math.isfinite(lo + round(n) * step)):
+    # an end or a step that is not finite makes n or the last point not finite;
+    # a grid past the cap is refused whatever K is, and min keeps K finite
+    K = math.floor(min(n, _MAX_ROWS) * (1 + _GRID_SLACK)) if math.isfinite(n) else -1
+    if K < 0 or not math.isfinite(lo + K * step):
         raise ParameterError(f"bad grid {lo}:{hi}:{step}")
-    if round(n) >= _MAX_ROWS:
+    if K >= _MAX_ROWS:
         raise ParameterError(f"grid {lo}:{hi}:{step} has more than {_MAX_ROWS} points")
     maximizers = mle(N, c, y)
 
@@ -413,5 +437,5 @@ def profile(
         except DomainError:
             return math.nan
 
-    grid = [lo + k * step for k in range(round(n) + 1)]
+    grid = [lo + k * step for k in range(K + 1)]
     return LikelihoodProfile(N, c, y, grid, [value(g) for g in grid], maximizers)

@@ -73,14 +73,25 @@ class SimConfig:
     trials: int
 
     def __post_init__(self) -> None:
-        if not 0 <= _int("seed", self.seed) <= _M64:
-            raise ParameterError(f"seed must be a 64-bit unsigned int, got {self.seed!r}")
+        _seed(self.seed)
         _int("trials", self.trials, 1)
 
 
+def _seed(seed: int) -> int:
+    """The seed rule of every seeded function: an int in [0, 2**64)."""
+    if not 0 <= _int("seed", seed) <= _M64:
+        raise ParameterError(f"seed must be a 64-bit unsigned int, got {seed!r}")
+    return seed
+
+
 def _seed_state(seed: int) -> list[int]:
-    """splitmix64 expansion of one word into the four xoshiro state words."""
-    x = seed & _M64
+    """splitmix64 expansion of one word into the four xoshiro state words.
+
+    The four inputs seed + i*0x9E3779B97F4A7C15 (i = 1..4) differ mod 2**64,
+    since the constant is odd, and the finalizer is a bijection, so at most
+    one word is 0 and the state is never the all-zero fixed point.
+    """
+    x = seed
     state = []
     for _ in range(4):
         x = (x + 0x9E3779B97F4A7C15) & _M64
@@ -88,17 +99,18 @@ def _seed_state(seed: int) -> list[int]:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
         state.append(z ^ (z >> 31))
-    if not any(state):
-        state[0] = 1  # the all-zero state is a fixed point
     return state
 
 
 class Xoshiro256StarStar:
-    """Seedable counter-quality generator with a pinned algorithm."""
+    """Seedable counter-quality generator with a pinned algorithm.
+
+    A seed is an int in [0, 2**64), the rule SimConfig reads too (_seed);
+    any other raises ParameterError. splitmix64 expands it into the state.
+    """
 
     def __init__(self, seed: int) -> None:
-        """Any int seeds the generator; it is taken modulo 2**64."""
-        self._s = _seed_state(_int("seed", seed))
+        self._s = _seed_state(_seed(seed))
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s

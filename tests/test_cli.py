@@ -456,6 +456,92 @@ class TestSelfcheck:
         assert fig6 and fig6[0][3] == "FAIL"
 
 
+class TestFlags:
+    # Each subcommand takes only the flags it reads; argparse refuses the rest.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mle", "--N", "20", "--c", "3", "--y", "5", "--m", "7"],
+            ["mle", "--N", "20", "--c", "3", "--y", "5", "--p", "0.9"],
+            ["mle", "--N", "20", "--c", "3", "--y", "5", "--p", "3:17:1"],
+            ["modes", "--N", "24", "--c", "6", "--p", "0.5"],
+            ["pmf", "maxnh", "--N", "15", "--m", "6", "--c", "3", "--cd"],
+        ],
+    )
+    def test_unread_flag_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    # pmf and sample take the law flags of both families; each law reads
+    # exactly those of its own.
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (["pmf", "nh", "--N", "15", "--m", "6", "--c", "3", "--p", "0.5"], "--p"),
+            (["pmf", "nb", "--c", "2", "--p", "0.5", "--N", "10"], "--N"),
+            (["pmf", "nb", "--c", "2", "--p", "0.5", "--m", "3"], "--m"),
+            (["sample", "maxnb", "--c", "3", "--p", "0.4", "--trials", "2", "--seed", "1",
+              "--N", "5"], "--N"),
+        ],
+    )
+    def test_flag_of_the_other_family_exits_2(self, argv, unread, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and unread in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["mle", "--c", "3", "--y", "5"], "--N"),
+            (["mle", "--N", "20", "--y", "5"], "--c"),
+            (["mle", "--N", "20", "--c", "3"], "--y"),
+            (["modes", "--c", "6"], "--N"),
+            (["modes", "--N", "24", "--m", "8"], "--c"),
+            (["figure"], "--which"),
+            (["sample", "maxnh", "--N", "15", "--m", "6", "--c", "3", "--seed", "1"], "--trials"),
+            (["sample", "maxnh", "--N", "15", "--m", "6", "--c", "3", "--trials", "2"], "--seed"),
+        ],
+    )
+    def test_missing_required_flag_is_an_argparse_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required" in err and flag in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pmf", "maxnh", "--m", "6", "--c", "3"], "maxnh takes exactly --N --m --c, got --m --c"),
+            (["pmf", "nb", "--p", "0.5"], "nb takes exactly --c --p, got --p"),
+            (["pmf", "minnb"], "minnb takes exactly --c --p, got none"),
+            (["sample", "nh", "--N", "15", "--c", "3", "--trials", "2", "--seed", "1"],
+             "nh takes exactly --N --m --c, got --N --c"),
+        ],
+    )
+    def test_missing_law_flag_exits_2(self, argv, message, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_settable_values(self):
+        # 22 values: 3 law flags dropped from mle and modes
+        sub = cli.build_parser()._subparsers._group_actions[0].choices
+        dests = {
+            name: sorted(a.dest for a in p._actions if a.dest != "help")
+            for name, p in sub.items()
+        }
+        assert dests == {
+            "pmf": ["N", "c", "cdf", "dist", "m", "p"],
+            "sample": ["N", "c", "empirical_pmf", "m", "p", "scheme", "seed", "trials"],
+            "modes": ["N", "c", "m"],
+            "mle": ["N", "c", "profile", "y"],
+            "figure": ["which"],
+            "selfcheck": [],
+        }
+
+
 class TestCsvContract:
     def test_round_trip_is_byte_identical(self, capsys):
         for argv in (

@@ -5,6 +5,7 @@ roots from an exact-rational solver.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -522,6 +523,57 @@ class TestMle:
         assert loglik_kernel(hi, 30, 2, 6) > loglik_kernel(15.0, 30, 2, 6)
 
 
+class TestMleAboveTwoTo52:
+    # Where N - c >= 2**52, floats near N - c are integers, and D's zeros
+    # N - c - i (i < y) are floats at which a read raises. The first read
+    # skips that run at once; it stepped down one float per zero, taking
+    # 1012, 10019, 1000022 and 1000019 reads on the first four shapes.
+    @pytest.mark.parametrize(
+        "N, c, y, want",
+        [
+            (2**53, 5, 10**3, [44590095320499.0, 8962609159420493.0]),
+            (2**53, 5, 10**4, [4499100526843.0, 9002700154214149.0]),
+            (2**53, 5, 10**6, [45035545918.0, 9007154219195074.0]),
+            # the run reaches below 2**52, where the floats are halves
+            (2**52 + 10**6, 5, 2 * 10**6, [11258942775.5, 4503588369427720.5]),
+            (2**52 + 10, 5, 100, [204709073971386.0, 4298890553399120.0]),
+            (2**52 + 1, 5, 100, [204709073971386.0, 4298890553399111.0]),
+            (10**12, 5, 10**4, [499500499.00097656, 999500499500.999]),
+        ],
+    )
+    def test_reads_skip_the_zeros_of_d(self, N, c, y, want, monkeypatch):
+        reads, raised = [], []
+        real = estimation._grad_hess
+
+        def counted(m, *args):
+            reads.append(m)
+            try:
+                return real(m, *args)
+            except DomainError:
+                raised.append(m)
+                raise
+
+        monkeypatch.setattr(estimation, "_grad_hess", counted)
+        assert sorted(mle(N, c, y)) == want
+        assert len(reads) <= 30 and raised == []
+
+    @pytest.mark.parametrize(
+        "N, c, y", [(2**53, 5, 2**53 - 10), (2**53, 5, 2**52 + 100), (2**53 - 1, 5, 2**52 - 5)]
+    )
+    def test_no_float_to_read_raises(self, N, c, y, monkeypatch):
+        # every float of (lo, N - c) is a zero of D, so mle raises before a
+        # read: the first shape read the float at lo forever, the others
+        # stepped past about 2**52 zeros, and at (2**53, 5, 2**52 + 100) a
+        # read at lo would sum r over 2**52 terms
+        monkeypatch.setattr(estimation, "_grad_hess", _refuse_read)
+        with pytest.raises(DomainError, match="cannot be read"):
+            mle(N, c, y)
+
+
+def _refuse_read(*args):
+    raise AssertionError("mle read L'")
+
+
 def _refuse_walk(*args):
     raise AssertionError("mle walked")
 
@@ -723,12 +775,42 @@ class TestProfile:
             (1.0, 11.0, math.nan),
             (1.0, 11.0, math.inf),
             (1.0, 1e300, 1e-300),  # finite ends, but no finite point count
-            (1e308, 1.7e308, 1e308),  # the last point rounds up past the float range
+            (0.0, sys.float_info.max, sys.float_info.max / 3),  # the last point rounds to inf
         ],
     )
     def test_non_finite_grid_raises(self, grid):
         with pytest.raises(ParameterError):
             profile(20, 3, 5, grid)
+
+    @pytest.mark.parametrize(
+        "grid, count, last",
+        [
+            ((3.0, 17.0, 0.3), 47, 3.0 + 46 * 0.3),  # 46.67 steps; 17.1 was past hi
+            ((3.0, 19.9, 0.5), 34, 19.5),  # 20.0 = N was past hi
+            ((4.0, 5.5, 1.0), 2, 5.0),
+            ((3.0, 17.0, 0.25), 57, 17.0),
+            ((0.1, 0.3, 0.1), 3, 0.1 + 2 * 0.1),  # (hi - lo)/step rounds to 1.9999999999999998
+            ((5.0, 5.0, 0.5), 1, 5.0),
+        ],
+        ids=["step-0.3", "past-N", "step-1", "step-0.25", "rounded-quotient", "one-point"],
+    )
+    def test_grid_ends_at_hi_or_before(self, grid, count, last):
+        lo, _, step = grid
+        prof = profile(20, 3, 5, grid)
+        assert prof.grid == [lo + k * step for k in range(count)]
+        assert prof.grid[-1] == last
+
+    def test_benchmark_grids_keep_every_point(self):
+        # [N/2, N - c - 1] in 999 steps, as the benchmark's profiles ask; the
+        # points lie off (0, 20), so each value is a quick nan
+        rng = random.Random(26)
+        shapes = [(2000, 30), (10_001, 40), (2001, 28), (4000, 37)]
+        shapes += [(rng.randrange(2000, 10**7), rng.randrange(1, 300)) for _ in range(100)]
+        for N, c in shapes:
+            lo, hi = N / 2, N - c - 1
+            step = (hi - lo) / 999
+            grid = profile(20, 3, 5, (lo, hi, step)).grid
+            assert len(grid) == 1000 and grid[-1] == lo + 999 * step, (N, c)
 
     @pytest.mark.parametrize("grid", [(0.0, 1e12, 1.0), (0.0, 1e6, 1.0)])
     def test_refuses_more_than_a_million_points(self, grid, monkeypatch):

@@ -408,8 +408,25 @@ def test_every_input_returns_or_raises_a_stated_error(timed, name, data):
         pass
 
 
+@pytest.mark.parametrize("name", ["unimodal_m_range at large N"])
+@settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
+@given(band=large_bands)
+def test_unimodal_m_range_at_large_n(timed, name, band):
+    # every valid (N, c) with N >= 10**5, none swapped for a bad argument;
+    # the range is closed under m -> N - m, as the law is
+    N, c = band
+    try:
+        intervals = urnwait.unimodal_m_range(N, c)
+    except (ParameterError, DomainError):
+        return
+    for lo, hi in intervals:
+        assert c <= lo <= hi <= N - c
+    assert intervals == sorted((N - hi, N - lo) for lo, hi in intervals)
+
+
 def test_the_property_test_fits_its_budget():
-    # reads the times of the cases above, which run first in file order
-    if len(_spent) < len(CALLS):
+    # reads the times of the cases above, which run first in file order:
+    # one per name in CALLS, and the large-N verdicts
+    if len(_spent) < len(CALLS) + 1:
         pytest.skip("the property test did not run in full")
     assert sum(_spent.values()) < BUDGET_S

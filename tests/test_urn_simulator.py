@@ -340,6 +340,35 @@ class TestGenerator:
         rng = Xoshiro256StarStar(0)
         assert len({rng.next_u64() for _ in range(10)}) == 10
 
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_a_zero_state_word_keeps_the_stream(self, i):
+        # splitmix64's i-th input is seed + i*gamma, which is 0 at this seed,
+        # and the finalizer maps 0 to 0: word i-1 is 0, and no other word is
+        gamma = 0x9E3779B97F4A7C15
+        seed = -i * gamma % 2**64
+        if i == 1:
+            assert seed == 7046029254386353131
+        rng = Xoshiro256StarStar(seed)
+        assert [w == 0 for w in rng._s] == [k == i - 1 for k in range(4)]
+        assert [rng.next_u64() for _ in range(100)] == _ref_stream(seed, 100)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**70])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            Xoshiro256StarStar,
+            lambda s: draw_until_both(UrnParams(15, 6, 3), s),
+            lambda s: draw_until_either(UrnParams(15, 6, 3), s),
+            lambda s: draw_until_c_successes(UrnParams(15, 6, 3), s),
+            lambda s: bernoulli_scheme(BernoulliParams(3, 0.25), Dist.MAXNB, s),
+        ],
+        ids=["generator", "both", "either", "c_successes", "bernoulli"],
+    )
+    def test_seed_outside_64_bits_is_refused(self, draw, seed):
+        # one rule with SimConfig; -1 used to give the stream of 2**64 - 1
+        with pytest.raises(ParameterError, match="64-bit"):
+            draw(seed)
+
 
 class TestSimConfig:
     def test_rejects_out_of_range(self):
